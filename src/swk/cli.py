@@ -24,7 +24,6 @@ from .graphs import (
     FAMILY_NAMES,
     FamilySpec,
     Graph,
-    is_connected,
     make_family,
     parse_edgelist,
     parse_graph6,
@@ -94,17 +93,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--k-cap", type=int, default=None,
                           help="largest subset size (bounds suite)")
     p_verify.add_argument("--corpus", metavar="PATH", default=None,
-                          help="graph6 corpus file (modular-bound suite)")
+                          help="graph6 corpus file, '-' for stdin (modular-bound suite)")
     return parser
 
 
-def _read_source(args) -> str:
-    if args.input == "-":
-        return sys.stdin.read()
+def _read_text(path: str) -> str:
+    """Read an input file as UTF-8 ('-' is stdin); failures are parse errors."""
     try:
-        return Path(args.input).read_text()
+        return sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise ParseError(f"cannot read {args.input}: {exc}") from None
+        raise ParseError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text (byte {exc.start})") from None
 
 
 def _load_graph(args) -> Graph:
@@ -115,7 +115,7 @@ def _load_graph(args) -> Graph:
             raise ParseError("--family requires -n")
         name = _FAMILY_ALIASES.get(args.family, args.family)
         return make_family(FamilySpec(name, args.n, args.m))
-    text = _read_source(args)
+    text = _read_text(args.input)
     fmt = args.format
     if fmt is None:
         fmt = "graph6" if args.input.endswith(".g6") else "edgelist"
@@ -128,7 +128,8 @@ def _load_graph(args) -> Graph:
 
 
 def _graph_summary(G: Graph) -> dict:
-    return {"n": G.n, "m": G.m, "connected": is_connected(G)}
+    # all_pairs_distances has already rejected disconnected graphs.
+    return {"n": G.n, "m": G.m, "connected": True}
 
 
 def cmd_index(args) -> Report:
@@ -136,11 +137,11 @@ def cmd_index(args) -> Report:
     t0 = time.perf_counter()
     G = _load_graph(args)
     report.timing_ms["build"] = (time.perf_counter() - t0) * 1000.0
-    report.graph = _graph_summary(G)
     k = args.k
     t0 = time.perf_counter()
     D = all_pairs_distances(G)
     report.timing_ms["distances"] = (time.perf_counter() - t0) * 1000.0
+    report.graph = _graph_summary(G)
     t0 = time.perf_counter()
     report.add_result("wiener", wiener_index(G, dist=D))
     report.add_result(f"steiner_wiener_k{k}", steiner_wiener(G, k, dist=D))
@@ -157,10 +158,10 @@ def cmd_structure(args) -> Report:
     t0 = time.perf_counter()
     G = _load_graph(args)
     report.timing_ms["build"] = (time.perf_counter() - t0) * 1000.0
-    report.graph = _graph_summary(G)
     t0 = time.perf_counter()
     D = all_pairs_distances(G)
     report.timing_ms["distances"] = (time.perf_counter() - t0) * 1000.0
+    report.graph = _graph_summary(G)
     t0 = time.perf_counter()
     if G.n >= 3:
         cls = classify_triples(G, dist=D)
@@ -185,12 +186,10 @@ def cmd_structure(args) -> Report:
 
 
 def cmd_verify(args) -> Report:
-    corpus = None
-    if args.corpus is not None:
-        try:
-            corpus = Path(args.corpus).read_text()
-        except OSError as exc:
-            raise ParseError(f"cannot read {args.corpus}: {exc}") from None
+    for flag in ("count", "max_n", "max_size", "wiener_max_n", "k_cap"):
+        if (getattr(args, flag) or 0) < 0:
+            raise PreconditionError(f"--{flag.replace('_', '-')} must be nonnegative")
+    corpus = None if args.corpus is None else _read_text(args.corpus)
     return run_suite(
         args.suite,
         seed=args.seed,

@@ -2,8 +2,8 @@
 
 Graphs are simple, finite, undirected, with dense vertex ids 0..n-1.
 Instances are immutable after construction and safe to share read-only.
-Two views of the edge set are kept in sync: sorted adjacency lists (for
-traversal) and per-vertex neighbor bitmasks (for subset intersections).
+The edge set is kept as sorted adjacency lists (for traversal); per-vertex
+neighbor bitmasks (for subset intersections) are built on first use.
 """
 
 from __future__ import annotations
@@ -18,10 +18,6 @@ from .families import fibonacci, lucas
 
 DEFAULT_VERTEX_CAP = 1 << 20
 CUBE_ORDER_CAP = 30
-
-# Above this, neighbor bitmasks are built lazily on first use so that large
-# sparse graphs do not pay n^2/8 bytes up front.
-_EAGER_BITSET_LIMIT = 4096
 
 
 class Graph:
@@ -56,11 +52,7 @@ class Graph:
         self.labels = tuple(labels) if labels is not None else None
         if self.labels is not None and len(self.labels) != n:
             raise ValueError("labels length must equal vertex count")
-        self._adj_bits = (
-            tuple(mask_of(a) for a in self.adjacency)
-            if n <= _EAGER_BITSET_LIMIT
-            else None
-        )
+        self._adj_bits = None
 
     @property
     def adj_bits(self) -> tuple[int, ...]:

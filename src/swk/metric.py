@@ -9,48 +9,76 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from operator import or_
 
 import numpy as np
 
 from .bitset import pack_bool
 from .errors import PreconditionError
-from .graphs import Graph, is_connected
+from .graphs import Graph
 
 # n*n int32 beyond this is not worth materializing.
 _MATRIX_LIMIT = 8192
+# Bit planes are unpacked about this many bytes at a time.
+_UNPACK_BYTES = 1 << 16
+_PLANE_WEIGHTS = 1 << np.arange(_MATRIX_LIMIT.bit_length(), dtype=np.int32)
 
 
 def all_pairs_distances(G: Graph) -> np.ndarray:
-    """All-pairs hop distances as an (n, n) int32 array (BFS per source)."""
-    if not is_connected(G):
-        raise PreconditionError("graph must be connected")
+    """All-pairs hop distances as a symmetric (n, n) int32 array.
+
+    Level-synchronous BFS from all sources at once on bitmasks over sources
+    (Then et al., PVLDB 8(4), 2014).  A vertex is done at the first level
+    that brings it nothing new, as its distance spheres are nonempty up to
+    its eccentricity; G is connected iff vertex 0 has then seen all sources.
+    Level d is ORed into bit plane j for each bit j of d.
+    """
     n = G.n
     if n > _MATRIX_LIMIT:
         raise PreconditionError(f"distance matrix limited to {_MATRIX_LIMIT} vertices")
-    out = np.zeros((n, n), dtype=np.int32)
     if n <= 1:
-        return out
-    adj = G.adj_bits
-    row = [0] * n
-    for s in range(n):
-        seen = frontier = 1 << s
-        row[s] = 0
-        d = 0
-        while frontier:
-            nxt = 0
-            while frontier:
-                b = frontier & -frontier
-                nxt |= adj[b.bit_length() - 1]
-                frontier ^= b
-            frontier = nxt & ~seen
-            seen |= frontier
-            d += 1
-            f = frontier
-            while f:
-                b = f & -f
-                row[b.bit_length() - 1] = d
-                f ^= b
-        out[s] = row
+        return np.zeros((n, n), dtype=np.int32)
+    adjacency = G.adjacency
+    full = (1 << n) - 1
+    frontier = [1 << v for v in range(n)]
+    seen = frontier[:]
+    planes: list[list[int]] = []
+    active = range(n)
+    d = 0
+    while active:
+        d += 1
+        nxt = [0] * n
+        still = []
+        for v in active:
+            acc = 0
+            for u in adjacency[v]:
+                acc |= frontier[u]
+            sv = seen[v]
+            acc &= ~sv
+            if acc:
+                nxt[v] = acc
+                seen[v] = sv = sv | acc
+                if sv != full:
+                    still.append(v)
+        if d & (d - 1) == 0:
+            planes.append(nxt)  # d = 2^j opens plane j
+        else:
+            for j, plane in enumerate(planes):
+                if d >> j & 1:
+                    planes[j] = list(map(or_, plane, nxt))
+        active = still
+        frontier = nxt
+    if seen[0] != full:
+        raise PreconditionError("graph must be connected")
+    depth, nbytes = len(planes), (n + 7) // 8
+    rows = b"".join([row.to_bytes(nbytes, "little") for plane in planes for row in plane])
+    packed = np.frombuffer(rows, dtype=np.uint8).reshape(depth, n, nbytes)
+    out = np.empty((n, n), dtype=np.int32)
+    step = max(1, _UNPACK_BYTES // (depth * n))
+    for lo in range(0, n, step):
+        bits = np.unpackbits(packed[:, lo:lo + step], axis=2, count=n, bitorder="little")
+        block = out[lo:lo + step].reshape(-1)
+        np.matmul(_PLANE_WEIGHTS[:depth], bits.reshape(depth, -1), out=block)
     return out
 
 

@@ -109,6 +109,30 @@ def test_missing_file_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("index", "--input", "{path}", "-k", "2"),
+        ("structure", "--input", "{path}"),
+        ("verify", "modular-bound", "--corpus", "{path}"),
+    ],
+)
+def test_non_utf8_input_is_parse_error(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.g6"
+    bad.write_bytes(b"\xffDhc\n")
+    code, _, err = run_cli(capsys, *(a.format(path=bad) for a in argv))
+    assert code == 2
+    assert "parse error" in err and "UTF-8" in err
+
+
+@pytest.mark.parametrize("flag", ["--count", "--max-n", "--max-size", "--wiener-max-n", "--k-cap"])
+def test_verify_rejects_negative_sizes(capsys, flag):
+    code, out, err = run_cli(capsys, "verify", "trees", flag, "-5")
+    assert code == 3
+    assert flag in err and "nonnegative" in err
+    assert out == ""
+
+
 def test_disconnected_exit_code(tmp_path, capsys):
     f = tmp_path / "split.el"
     f.write_text("0 1\n2 3\n")

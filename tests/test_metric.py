@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,15 +18,17 @@ from swk import (
     complete_graph,
     cycle_graph,
     fibonacci_cube,
+    hypercube,
     interval,
     interval_masks,
     lucas_cube,
     path_graph,
+    star_graph,
     steiner_wiener,
     wiener_index,
 )
 from swk.bitset import bit_list, mask_of
-from swk.generators import random_connected
+from swk.generators import random_connected, random_connected_graph
 from swk.graphs import Graph
 
 from conftest import brute_interval, connected_graphs
@@ -50,6 +53,66 @@ def test_distances_fibonacci_cube_hamming_pair():
 def test_distances_require_connected():
     with pytest.raises(PreconditionError, match="connected"):
         all_pairs_distances(Graph(4, [(0, 1), (2, 3)]))
+
+
+def _networkx_distances(g: Graph) -> np.ndarray:
+    """Distance matrix from networkx BFS, which shares no code with swk."""
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    D = np.full((g.n, g.n), -1, dtype=np.int64)
+    for u, row in nx.all_pairs_shortest_path_length(h):
+        for v, d in row.items():
+            D[u, v] = d
+    return D
+
+
+def _assert_matches_networkx(g: Graph) -> None:
+    D = all_pairs_distances(g)
+    assert D.dtype == np.int32 and D.shape == (g.n, g.n)
+    assert (D == _networkx_distances(g)).all(), g
+
+
+def test_distances_match_networkx_families():
+    graphs = [Graph(0, []), Graph(1, []), Graph(2, [(0, 1)])]
+    # diameters 0..39 cross every bit-plane boundary up to 32
+    graphs += [path_graph(n) for n in range(1, 41)]
+    graphs.append(path_graph(300))  # diameter above 255, rows in several blocks
+    graphs += [star_graph(n) for n in range(1, 15)]
+    graphs += [cycle_graph(n) for n in range(3, 40)]
+    graphs += [complete_graph(n) for n in range(1, 15)]
+    graphs += [fibonacci_cube(k) for k in range(13)]
+    graphs += [lucas_cube(k) for k in range(13)]
+    graphs += [hypercube(k) for k in range(1, 9)]
+    for g in graphs:
+        _assert_matches_networkx(g)
+
+
+def test_distances_match_networkx_small_corpus(small_corpus):
+    for g in small_corpus:
+        _assert_matches_networkx(g)
+
+
+def test_distances_match_networkx_random():
+    rng = random.Random(1105)
+    for _ in range(200):
+        _assert_matches_networkx(random_connected(rng, 12))
+    for m in (2000, 5000, 9000):
+        _assert_matches_networkx(random_connected_graph(150, m, rng))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        Graph(5, [(1, 2), (2, 3), (3, 4)]),  # vertex 0 isolated
+        Graph(5, [(0, 1), (1, 2), (2, 3)]),  # last vertex isolated
+        Graph(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)]),  # two halves
+        Graph(2, []),
+    ],
+)
+def test_distances_reject_disconnected(g):
+    with pytest.raises(PreconditionError, match="connected"):
+        all_pairs_distances(g)
 
 
 def test_distance_matrix_properties_random():
