@@ -26,7 +26,7 @@ from .graphs import (
     Graph,
     make_family,
     parse_edgelist,
-    parse_graph6,
+    read_graph6_file,
 )
 from .metric import all_pairs_distances, average_distance, wiener_index
 from .report import Report
@@ -65,13 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
     fmt = output.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", help="emit a JSON report")
     fmt.add_argument("--plain", action="store_true", help="emit plain text (default)")
-    output.add_argument(
-        "--threads",
-        type=int,
-        default=0,
-        help="worker count (0 = auto); execution is single-threaded and "
-        "deterministic either way",
-    )
     output.add_argument("--seed", type=int, default=42, help="seed for randomized suites")
 
     p_index = sub.add_parser("index", parents=[source, output],
@@ -120,10 +113,10 @@ def _load_graph(args) -> Graph:
     if fmt is None:
         fmt = "graph6" if args.input.endswith(".g6") else "edgelist"
     if fmt == "graph6":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            raise ParseError("empty graph6 input")
-        return parse_graph6(lines[0])
+        graphs = read_graph6_file(text)
+        if len(graphs) != 1:
+            raise ParseError(f"graph6 input must hold one graph, found {len(graphs)}")
+        return graphs[0]
     return parse_edgelist(text)
 
 
@@ -208,8 +201,6 @@ _COMMANDS = {"index": cmd_index, "structure": cmd_structure, "verify": cmd_verif
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 0:
-        parser.error("--threads must be nonnegative")
     try:
         report = _COMMANDS[args.command](args)
     except ParseError as exc:

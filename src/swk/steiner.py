@@ -32,8 +32,10 @@ from .metric import all_pairs_distances, wiener_index
 DEFAULT_K_MAX = 12
 _ORACLE_N_LIMIT = 20
 _INF = 1 << 40
-# Below these sizes plain Python loops beat numpy call overhead.
+# Below this size Dreyfus-Wagner on Python lists beats numpy call overhead.
 _SMALL_N = 40
+# Largest temporary of the SW_3 scan, in elements.
+_BLOCK = 1 << 17
 
 
 def _terminals(subset: int | Iterable[int], n: int) -> list[int]:
@@ -190,27 +192,25 @@ def steiner_distance_dw(
     return _dw_numpy(D, ids)
 
 
-def _sw3_lists(Dl: list[list[int]], n: int) -> int:
-    total = 0
-    for a in range(n - 2):
-        Da = Dl[a]
-        for b in range(a + 1, n - 1):
-            s = [x + y for x, y in zip(Da, Dl[b])]
-            for c in range(b + 1, n):
-                total += min(x + y for x, y in zip(s, Dl[c]))
-    return total
-
-
 def _sw3(D: np.ndarray) -> int:
+    """SW_3 by the median-candidate scan d({a,b,c}) = min_v D[v,a]+D[v,b]+D[v,c].
+
+    Per middle vertex b, one numpy step covers a run of a < b (about _BLOCK
+    elements, at least one a) against every c > b.  D is cast to int8 when
+    3 * max(D) <= 127, else int16; each block is summed in int64.
+    """
     n = D.shape[0]
-    if n < _SMALL_N:
-        return _sw3_lists(D.tolist(), n)
+    E = D.astype(np.int8 if 3 * int(D.max()) <= 127 else np.int16)
     total = 0
-    for a in range(n - 2):
-        Da = D[a]
-        for b in range(a + 1, n - 1):
-            s = Da + D[b]
-            total += int((D[b + 1:] + s).min(axis=1).sum(dtype=np.int64))
+    for b in range(1, n - 1):
+        C = E[:, b + 1:]
+        step = max(1, _BLOCK // (n * C.shape[1]))
+        for lo in range(0, b, step):
+            S = E[:, lo:min(b, lo + step)] + E[:, b:b + 1]
+            # the longer of the two runs goes innermost, where numpy vectorises
+            X, Y = (C, S) if S.shape[1] > C.shape[1] else (S, C)
+            block = np.minimum.reduce(X[:, :, None] + Y[:, None, :], axis=0)
+            total += int(block.sum(dtype=np.int64))
     return total
 
 

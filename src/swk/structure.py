@@ -2,13 +2,14 @@
 
 A triple {a, b, c} is modular when the three pairwise geodesic intervals
 share a vertex (a median).  A graph is modular when every triple is, and
-median when that median is always unique.  The scan intersects precomputed
-interval bitmasks, which makes each triple an O(n/word) AND.
+median when that median is always unique.  One kernel scans all triples:
+it packs every interval into uint64 words, then popcounts the blocked AND
+of I(a, b), I(a, c) and I(b, c).  ``median_set`` is the per-triple reference.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -18,10 +19,12 @@ import numpy as np
 from .bitset import as_vertex_list, bits
 from .errors import PreconditionError
 from .graphs import Graph
-from .metric import all_pairs_distances, interval, interval_masks
+from .metric import all_pairs_distances, interval
 
 # C(n,3) interval intersections and n^2 bitmasks get impractical above this.
 MAX_TRIPLE_N = 512
+# Largest temporary of the triple scan, in elements.
+_BLOCK = 1 << 17
 
 
 def median_set(D: np.ndarray, a: int, b: int, c: int) -> int:
@@ -46,60 +49,65 @@ def _scan_guard(n: int) -> None:
         raise PreconditionError(f"triple scan limited to {MAX_TRIPLE_N} vertices")
 
 
-def classify_triples(G: Graph, dist: np.ndarray | None = None) -> TripleClassification:
-    """Count modular and non-modular 3-sets over all C(n, 3) triples."""
+def _interval_words(D: np.ndarray) -> np.ndarray:
+    """(ceil(n/64), n, n) uint64: bit v of the words at [:, u, x] is set iff v
+    lies on a shortest u-x path.  Built about _BLOCK tests at a time."""
+    n = D.shape[0]
+    words = -(-n // 64)
+    # padding columns v >= n hold -1, so their test D[u,v] + D[v,x] == D[u,x] fails
+    E = np.full((n, 64 * words), -1, np.int8 if 2 * int(D.max()) <= 127 else np.int16)
+    E[:, :n] = D
+    out = np.empty((words, n, n), dtype=np.uint64)
+    step = max(1, _BLOCK // (n * n))
+    for lo in range(0, n, step):
+        on = E[lo:lo + step, None, :] + E[None, :, :] == E[lo:lo + step, :n, None]
+        packed = np.packbits(on, axis=2, bitorder="little").view(np.uint64)
+        out[:, lo:lo + step] = packed.transpose(2, 0, 1)
+    return out
+
+
+def _median_counts(G: Graph, dist: np.ndarray | None) -> Iterator[np.ndarray]:
+    """Median-set sizes |I(a,b) & I(a,c) & I(b,c)| of all triples a < b < c:
+    per middle vertex b, blocks of about _BLOCK words (at least one a) with
+    rows a < b and columns c > b.  Consumers may stop early."""
     n = G.n
     if n < 3:
-        raise PreconditionError("triple classification needs at least 3 vertices")
+        return
     _scan_guard(n)
     D = all_pairs_distances(G) if dist is None else dist
-    I = interval_masks(D)
-    modular = 0
-    unique = True
-    for a in range(n - 2):
-        Ia = I[a]
-        for b in range(a + 1, n - 1):
-            iab = Ia[b]
-            Ib = I[b]
-            for c in range(b + 1, n):
-                mset = iab & Ia[c] & Ib[c]
-                if mset:
-                    modular += 1
-                    if unique and mset & (mset - 1):
-                        unique = False
-    total = comb(n, 3)
+    I = _interval_words(D)
+    for b in range(1, n - 1):
+        step = max(1, _BLOCK // (I.shape[0] * (n - b - 1)))
+        for lo in range(0, b, step):
+            # I is symmetric, so a and c may swap; the longer run goes innermost
+            a, c = slice(lo, min(b, lo + step)), slice(b + 1, n)
+            rows, cols = (c, a) if a.stop - lo > n - b - 1 else (a, c)
+            R = I[:, rows]
+            M = R[:, :, b, None] & R[:, :, cols] & I[:, b, None, cols]
+            yield np.bitwise_count(M).sum(axis=0, dtype=np.int16)
+
+
+def classify_triples(G: Graph, dist: np.ndarray | None = None) -> TripleClassification:
+    """Count modular and non-modular 3-sets over all C(n, 3) triples, and
+    whether every modular triple has exactly one median."""
+    if G.n < 3:
+        raise PreconditionError("triple classification needs at least 3 vertices")
+    modular, unique = 0, True
+    for counts in _median_counts(G, dist):
+        modular += int(np.count_nonzero(counts))
+        unique = unique and int(counts.max()) <= 1
+    total = comb(G.n, 3)
     return TripleClassification(total, modular, total - modular, unique)
 
 
-def _scan_all_triples(G: Graph, dist: np.ndarray | None, need_unique: bool) -> bool:
-    n = G.n
-    if n < 3:
-        return True
-    _scan_guard(n)
-    D = all_pairs_distances(G) if dist is None else dist
-    I = interval_masks(D)
-    for a in range(n - 2):
-        Ia = I[a]
-        for b in range(a + 1, n - 1):
-            iab = Ia[b]
-            Ib = I[b]
-            for c in range(b + 1, n):
-                mset = iab & Ia[c] & Ib[c]
-                if not mset:
-                    return False
-                if need_unique and mset & (mset - 1):
-                    return False
-    return True
-
-
 def is_modular(G: Graph, dist: np.ndarray | None = None) -> bool:
-    """True iff every vertex triple has a median (short-circuits)."""
-    return _scan_all_triples(G, dist, need_unique=False)
+    """True iff every vertex triple has a median; stops at the first failing block."""
+    return all(counts.all() for counts in _median_counts(G, dist))
 
 
 def is_median(G: Graph, dist: np.ndarray | None = None) -> bool:
     """True iff every vertex triple has exactly one median."""
-    return _scan_all_triples(G, dist, need_unique=True)
+    return all((counts == 1).all() for counts in _median_counts(G, dist))
 
 
 def steiner_via_2intersection(

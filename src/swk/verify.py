@@ -101,7 +101,8 @@ class Check:
 
     @property
     def holds(self) -> bool:
-        return self.failures == 0
+        """No failure, and a required check saw at least one instance."""
+        return self.failures == 0 and (self.count > 0 or not self.required)
 
     def add_to(self, report: Report) -> None:
         extra: dict = {"instances": self.count, "failures": self.failures}

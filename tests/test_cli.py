@@ -44,6 +44,16 @@ def test_index_graph6_file(tmp_path, capsys):
     assert "wiener = 15" in out
 
 
+@pytest.mark.parametrize("cmd", ["index", "structure"])
+def test_graph6_file_with_two_graphs_is_parse_error(tmp_path, capsys, cmd):
+    g6 = tmp_path / "two.g6"
+    g6.write_text("Dhc\nC~\n")
+    code, out, err = run_cli(capsys, cmd, "--input", str(g6))
+    assert code == 2
+    assert "parse error" in err and "found 2" in err
+    assert out == ""
+
+
 def test_index_json_uses_strings_for_integers(capsys):
     code, out, _ = run_cli(
         capsys, "index", "--family", "fibonacci", "-n", "8", "-k", "3", "--json"
@@ -225,17 +235,25 @@ def test_verify_json_deterministic_given_seed(capsys):
     assert a == b
 
 
-def test_verify_json_independent_of_thread_count(capsys):
-    outputs = []
-    for threads in ("1", "8"):
-        args = ["verify", "block-graphs", "--count", "10", "--seed", "5",
-                "--threads", threads, "--json"]
-        code, out, _ = run_cli(capsys, *args)
-        assert code == 0
-        payload = json.loads(out)
-        payload.pop("timing_ms")
-        outputs.append(payload)
-    assert outputs[0] == outputs[1]
+def test_verify_json_block_graphs(capsys):
+    args = ["verify", "block-graphs", "--count", "10", "--seed", "5", "--json"]
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    payload = json.loads(out)
+    assert [c["instances"] for c in payload["checks"]] == ["10"] * 4
+    assert all(c["holds"] for c in payload["checks"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("trees", "--count", "0"), ("products", "--max-size", "1")],
+)
+def test_verify_with_no_instances_fails(capsys, argv):
+    code, out, err = run_cli(capsys, "verify", *argv, "--json")
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    assert checks and all(c["instances"] == "0" and not c["holds"] for c in checks)
+    assert "failed checks" in err
 
 
 def test_stdin_input(capsys, monkeypatch):
@@ -245,10 +263,3 @@ def test_stdin_input(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "index", "--input", "-", "-k", "2")
     assert code == 0
     assert "wiener = 10" in out
-
-
-def test_threads_flag_accepted(capsys):
-    code, out, _ = run_cli(
-        capsys, "index", "--family", "path", "-n", "4", "--threads", "4"
-    )
-    assert code == 0

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 
 from swk import (
+    Graph,
     PreconditionError,
     all_pairs_distances,
     average_distance,
@@ -30,8 +31,14 @@ from swk import (
     steiner_wiener,
     wiener_index,
 )
+from swk import steiner
 from swk.bitset import mask_of
-from swk.generators import curated_modular, random_connected, random_tree
+from swk.generators import (
+    curated_modular,
+    random_connected,
+    random_connected_graph,
+    random_tree,
+)
 from swk.graphs import fibonacci_cube
 
 from conftest import connected_graphs
@@ -201,13 +208,50 @@ def test_dw_numpy_path_matches_list_path():
         assert steiner_distance_dw(g, ids, dist=D) == _dw_lists(Dl, ids)
 
 
-def test_sw3_vectorized_path_matches_scalar_path():
-    from swk.steiner import _sw3_lists
-
-    rng = random.Random(62)
-    g = random_connected(rng, 60, min_n=45)  # above the scalar cutoff
+def _sw3_by_triples(g) -> int:
+    """SW_3 as the sum of steiner_distance_3 over every triple."""
     D = all_pairs_distances(g)
-    assert steiner_wiener(g, 3, dist=D) == _sw3_lists(D.tolist(), g.n)
+    return sum(steiner_distance_3(D, a, b, c) for a, b, c in combinations(range(g.n), 3))
+
+
+def test_sw3_matches_per_triple_sum_on_tiny_graphs():
+    tiny = [Graph(0, []), Graph(1, []), path_graph(2), path_graph(3), complete_graph(3)]
+    for g in tiny:
+        assert steiner_wiener(g, 3) == _sw3_by_triples(g)
+
+
+def test_sw3_matches_per_triple_sum_on_corpora(small_corpus):
+    rng = random.Random(63)
+    graphs = small_corpus + [random_connected(rng, 12) for _ in range(100)]
+    for g in graphs:
+        assert steiner_wiener(g, 3) == _sw3_by_triples(g)
+
+
+def test_sw3_int8_int16_switch():
+    # the scan narrows D to int8 while 3 * diameter <= 127; a broom (a path
+    # with three leaves on its last vertex) has three leaves whose distance
+    # sum from the first vertex is 3 * diameter, so int8 would wrap there
+    def broom(length):
+        edges = [(i, i + 1) for i in range(length - 1)]
+        edges += [(length - 1, length + j) for j in range(3)]
+        return Graph(length + 3, edges)
+
+    cases = [(path_graph(43), 42), (path_graph(44), 43), (broom(42), 42), (broom(43), 43)]
+    for g, diameter in cases:
+        assert all_pairs_distances(g).max() == diameter
+        assert steiner_wiener(g, 3) == _sw3_by_triples(g)
+
+
+def test_sw3_matches_per_triple_sum_across_blocks(monkeypatch):
+    # both graphs split the a-range of most middle vertices into several runs
+    big = [fibonacci_cube(10), random_connected_graph(150, 3352, random.Random(150))]
+    for g in big:
+        assert steiner_wiener(g, 3) == _sw3_by_triples(g)
+    # a tiny budget makes every run a single a
+    monkeypatch.setattr(steiner, "_BLOCK", 1)
+    rng = random.Random(64)
+    for g in [random_connected(rng, 12) for _ in range(10)] + [path_graph(44)]:
+        assert steiner_wiener(g, 3) == _sw3_by_triples(g)
 
 
 def test_sw_k_range_checks():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -17,6 +18,7 @@ from swk import (
     complete_graph,
     cycle_graph,
     hypercube,
+    interval,
     is_median,
     is_modular,
     is_modular_triple,
@@ -27,8 +29,10 @@ from swk import (
     steiner_distance_oracle,
     steiner_via_2intersection,
 )
+from swk import structure
 from swk.bitset import bit_list, mask_of
-from swk.generators import grid_graph, random_tree
+from swk.generators import grid_graph, random_connected, random_connected_graph, random_tree
+from swk.graphs import Graph, fibonacci_cube
 from swk.structure import MAX_TRIPLE_N, TripleClassification, _scan_guard
 
 from conftest import enumerate_connected_graphs, is_bipartite
@@ -114,6 +118,60 @@ def test_classification_counts_match_per_triple_scan(small_corpus):
         cls = classify_triples(g, dist=D)
         assert cls.modular == modular
         assert cls.nonmodular == cls.total - modular
+
+
+def _classify_by_median_sets(g) -> TripleClassification:
+    """classify_triples by one median_set per triple; each pair's interval
+    is computed once, as median_set would compute it."""
+    D = all_pairs_distances(g)
+    I = [[interval(D, u, v) for v in range(g.n)] for u in range(g.n)]
+    modular, unique = 0, True
+    for a, b, c in combinations(range(g.n), 3):
+        mset = I[a][b] & I[a][c] & I[b][c]
+        if mset:
+            modular += 1
+            unique = unique and mset.bit_count() == 1
+    total = comb(g.n, 3)
+    return TripleClassification(total, modular, total - modular, unique)
+
+
+def _assert_scan_matches_reference(g) -> None:
+    expected = _classify_by_median_sets(g)
+    if g.n >= 3:
+        assert classify_triples(g) == expected
+    assert is_modular(g) == (expected.nonmodular == 0)
+    assert is_median(g) == (expected.nonmodular == 0 and expected.median_unique)
+
+
+def test_triple_scan_matches_median_sets_on_tiny_graphs():
+    for g in [Graph(0, []), Graph(1, []), path_graph(2), path_graph(3), complete_graph(3)]:
+        _assert_scan_matches_reference(g)
+
+
+def test_triple_scan_matches_median_sets_on_corpora(small_corpus):
+    rng = random.Random(65)
+    for g in small_corpus + [random_connected(rng, 12) for _ in range(100)]:
+        _assert_scan_matches_reference(g)
+
+
+def test_triple_scan_matches_median_sets_at_word_boundaries():
+    # 63, 64, 65, 128 and 129 vertices: around one and two 64-bit words;
+    # paths on 64 and 65 vertices also straddle the int8/int16 switch of
+    # the interval test (twice the diameter is 126, then 128)
+    for rows, cols in [(7, 9), (8, 8), (5, 13), (8, 16), (3, 43)]:
+        for g in [grid_graph(rows, cols), path_graph(rows * cols), cycle_graph(rows * cols)]:
+            _assert_scan_matches_reference(g)
+
+
+def test_triple_scan_matches_median_sets_across_blocks(monkeypatch):
+    # n = 144 and 150 split the interval build into several row blocks
+    for g in [fibonacci_cube(10), random_connected_graph(150, 3352, random.Random(150))]:
+        _assert_scan_matches_reference(g)
+    # a tiny budget makes every run a single a and every row block one row
+    monkeypatch.setattr(structure, "_BLOCK", 1)
+    rng = random.Random(66)
+    for g in [random_connected(rng, 12) for _ in range(10)] + [path_graph(65), grid_graph(8, 9)]:
+        _assert_scan_matches_reference(g)
 
 
 def test_modular_implies_bipartite(small_corpus):
