@@ -25,7 +25,6 @@ from .families import (
     mu3_ratio,
     sw3_fibonacci_closed,
     sw3_lucas_closed,
-    sw3_product_modular,
     wiener_fibonacci_closed,
     wiener_lucas_closed,
 )
@@ -61,6 +60,7 @@ from .steiner import (
     steiner_distance_oracle,
     steiner_distance_table,
     steiner_wiener,
+    sw3_product_modular,
 )
 from .structure import (
     TripleClassification,

@@ -65,7 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
     fmt = output.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", help="emit a JSON report")
     fmt.add_argument("--plain", action="store_true", help="emit plain text (default)")
-    output.add_argument("--seed", type=int, default=42, help="seed for randomized suites")
 
     p_index = sub.add_parser("index", parents=[source, output],
                              help="compute W, SW_k, mu, mu_k")
@@ -77,6 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", parents=[output],
                               help="run a verification suite")
     p_verify.add_argument("suite", choices=SUITE_NAMES)
+    p_verify.add_argument("--seed", type=int, default=42, help="seed for randomized suites")
     p_verify.add_argument("--count", type=int, default=None, help="instances to draw")
     p_verify.add_argument("--max-n", type=int, default=None, help="largest instance size")
     p_verify.add_argument("--max-size", type=int, default=None,

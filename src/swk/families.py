@@ -1,4 +1,4 @@
-"""Closed-form index values for Fibonacci cubes, Lucas cubes, and products.
+"""Closed-form index values for Fibonacci cubes and Lucas cubes.
 
 Everything here is integer or rational arithmetic on Fibonacci/Lucas
 numbers; no graph is ever built.  Each closed form carries an internal
@@ -81,30 +81,6 @@ def sw3_lucas_closed(n: int) -> int:
     num = n * fibonacci(n - 1) * fibonacci(n + 1) * (lucas(n) - 2)
     if num % 2:
         raise AssertionError(f"lucas sw3 numerator not even at n={n}")
-    return num // 2
-
-
-def sw3_product_modular(G, H, verify_limit: int = 200) -> int:
-    """Steiner 3-Wiener index of the Cartesian product of two modular graphs.
-
-    Computed without building the product:
-
-        (|V(G)||V(H)| - 2)/2 * (|V(G)|^2 W(H) + |V(H)|^2 W(G))
-
-    Factors with at most ``verify_limit`` vertices are re-checked for
-    modularity; a non-modular factor is rejected.
-    """
-    from .metric import wiener_index
-    from .structure import is_modular
-
-    if G.n == 0 or H.n == 0:
-        raise PreconditionError("product factors must be nonempty")
-    for name, factor in (("first", G), ("second", H)):
-        if factor.n <= verify_limit and not is_modular(factor):
-            raise PreconditionError(f"{name} factor is not modular")
-    num = (G.n * H.n - 2) * (G.n * G.n * wiener_index(H) + H.n * H.n * wiener_index(G))
-    if num % 2:
-        raise AssertionError("product sw3 numerator not even; modularity violated?")
     return num // 2
 
 

@@ -1,14 +1,14 @@
 """Exact Steiner distances and Steiner k-Wiener indices.
 
 The Steiner distance d(S) of a terminal set S is the edge count of a
-minimum connected subgraph spanning S (always a tree).  Three independent
-routes are implemented:
-
-* a median-candidate scan for |S| = 3 (a Steiner tree on three terminals
-  has at most one branch vertex, so d(S) = min_v sum of distances to v),
-* a Dreyfus-Wagner dynamic program over (terminal subset, root) states for
-  general small S,
-* an exponential superset-scan oracle used to cross-check the other two.
+minimum connected subgraph spanning S (always a tree).  Production routes:
+a median-candidate scan for |S| = 3 (a Steiner tree on three terminals has
+at most one branch vertex, so d(S) = min_v sum of distances to v), blocked
+over all triples for SW_3, and one Dreyfus-Wagner dynamic program over
+(terminal subset, root) states for larger S, run once per k-subset for
+SW_k.  The superset-scan oracle and the all-subsets table are exponential
+references that share no code with them.  The mean-Steiner bounds, the
+SW_3 modular bound and the SW_3 product formula are built on these values.
 
 Terminal sets are accepted either as iterables of vertex ids or as int
 bitmasks; duplicates collapse.
@@ -28,14 +28,15 @@ from .bitset import as_vertex_list, mask_of
 from .errors import PreconditionError
 from .graphs import Graph
 from .metric import all_pairs_distances, wiener_index
+from .structure import is_modular
 
 DEFAULT_K_MAX = 12
 _ORACLE_N_LIMIT = 20
 _INF = 1 << 40
-# Below this size Dreyfus-Wagner on Python lists beats numpy call overhead.
-_SMALL_N = 40
 # Largest temporary of the SW_3 scan, in elements.
 _BLOCK = 1 << 17
+# sw3_product_modular re-checks the modularity of factors up to this size.
+_PRODUCT_CHECK_N = 200
 
 
 def _terminals(subset: int | Iterable[int], n: int) -> list[int]:
@@ -115,36 +116,8 @@ def steiner_distance_table(G: Graph) -> list[int]:
     return g
 
 
-def _dw_lists(Dl: list[list[int]], ids: list[int]) -> int:
-    """Dreyfus-Wagner on Python lists; preferable for small n."""
-    k = len(ids)
-    n = len(Dl)
-    full = 1 << k
-    dp: list[list[int]] = [None] * full  # type: ignore[list-item]
-    for i, t in enumerate(ids):
-        dp[1 << i] = list(Dl[t])
-    rng = range(n)
-    for mask in range(3, full):
-        if mask & (mask - 1) == 0:
-            continue
-        low = mask & -mask
-        best = [_INF] * n
-        sub = (mask - 1) & mask
-        while sub:
-            if sub & low:
-                ds = dp[sub]
-                do = dp[mask ^ sub]
-                for v in rng:
-                    x = ds[v] + do[v]
-                    if x < best[v]:
-                        best[v] = x
-            sub = (sub - 1) & mask
-        # grow step; D is symmetric so row v serves as the column
-        dp[mask] = [min(x + y for x, y in zip(best, Dl[v])) for v in rng]
-    return dp[full - 1][ids[0]]
-
-
-def _dw_numpy(D: np.ndarray, ids: list[int]) -> int:
+def _dreyfus_wagner(D: np.ndarray, ids: list[int]) -> int:
+    """d(ids) by the Dreyfus-Wagner DP over (terminal subset, root) states."""
     k = len(ids)
     n = D.shape[0]
     full = 1 << k
@@ -187,9 +160,7 @@ def steiner_distance_dw(
     D = all_pairs_distances(G) if dist is None else dist
     if len(ids) == 2:
         return int(D[ids[0], ids[1]])
-    if G.n <= 2 * _SMALL_N:
-        return _dw_lists(D.tolist(), ids)
-    return _dw_numpy(D, ids)
+    return _dreyfus_wagner(D, ids)
 
 
 def _sw3(D: np.ndarray) -> int:
@@ -223,7 +194,7 @@ def steiner_wiener(
     """Sum of d(S) over all k-element vertex subsets.
 
     k = 2 reproduces the Wiener index; k = 3 runs the median-candidate
-    scan; larger k enumerates subsets through the Dreyfus-Wagner routine.
+    scan; larger k runs the Dreyfus-Wagner program once per k-subset.
     When k exceeds the vertex count there are no k-subsets and the sum is 0.
     """
     if k < 2 or k > k_max:
@@ -236,10 +207,7 @@ def steiner_wiener(
         return int(D.sum(dtype=np.int64)) // 2
     if k == 3:
         return _sw3(D)
-    if n <= 2 * _SMALL_N:
-        Dl = D.tolist()
-        return sum(_dw_lists(Dl, list(S)) for S in combinations(range(n), k))
-    return sum(_dw_numpy(D, list(S)) for S in combinations(range(n), k))
+    return sum(_dreyfus_wagner(D, list(S)) for S in combinations(range(n), k))
 
 
 def mean_steiner(
@@ -370,3 +338,24 @@ def check_sw3_modular_bound(
     twice_sw3 = 2 * steiner_wiener(G, 3, dist=D)
     scaled = (G.n - 2) * wiener_index(G, dist=D)
     return ModularBoundResult(twice_sw3, scaled, twice_sw3 == scaled)
+
+
+def sw3_product_modular(G: Graph, H: Graph) -> int:
+    """Steiner 3-Wiener index of the Cartesian product of two modular graphs.
+
+    Computed without building the product:
+
+        (|V(G)||V(H)| - 2)/2 * (|V(G)|^2 W(H) + |V(H)|^2 W(G))
+
+    Factors with at most ``_PRODUCT_CHECK_N`` vertices are re-checked for
+    modularity; a non-modular factor is rejected.
+    """
+    if G.n == 0 or H.n == 0:
+        raise PreconditionError("product factors must be nonempty")
+    for name, factor in (("first", G), ("second", H)):
+        if factor.n <= _PRODUCT_CHECK_N and not is_modular(factor):
+            raise PreconditionError(f"{name} factor is not modular")
+    num = (G.n * H.n - 2) * (G.n * G.n * wiener_index(H) + H.n * H.n * wiener_index(G))
+    if num % 2:
+        raise AssertionError("product sw3 numerator not even; modularity violated?")
+    return num // 2

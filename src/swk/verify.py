@@ -20,7 +20,6 @@ from .families import (
     mu3_ratio,
     sw3_fibonacci_closed,
     sw3_lucas_closed,
-    sw3_product_modular,
     wiener_fibonacci_closed,
     wiener_lucas_closed,
 )
@@ -54,6 +53,7 @@ from .steiner import (
     steiner_distance_dw,
     steiner_distance_oracle,
     steiner_wiener,
+    sw3_product_modular,
 )
 from .structure import classify_triples, is_modular
 
@@ -270,10 +270,17 @@ def _suite_products(*, max_size: int = 200, **_) -> Report:
     c_frac = Check("product-fractional-form-identity")
     c_mod = Check("product-of-modular-is-modular")
     factors = _product_factors()
+    # W and SW_3 of each factor, from one distance matrix per factor
+    indices: dict[str, tuple[int, int]] = {}
+    for name, F in factors:
+        D = all_pairs_distances(F)
+        indices[name] = (wiener_index(F, dist=D), steiner_wiener(F, 3, dist=D))
     for i, (name_a, A) in enumerate(factors):
+        w_a, s3_a = indices[name_a]
         for name_b, B in factors[i:]:
             if A.n * B.n > max_size:
                 continue
+            w_b, s3_b = indices[name_b]
             P = cartesian_product(A, B)
             D = all_pairs_distances(P)
             detail = f"{name_a} x {name_b}"
@@ -281,13 +288,10 @@ def _suite_products(*, max_size: int = 200, **_) -> Report:
             brute = steiner_wiener(P, 3, dist=D)
             c_sw3.record(formula == brute, P, detail)
             wp = wiener_index(P, dist=D)
-            c_w.record(
-                wp == A.n**2 * wiener_index(B) + B.n**2 * wiener_index(A), P, detail
-            )
+            c_w.record(wp == A.n**2 * w_b + B.n**2 * w_a, P, detail)
             if A.n > 2 and B.n > 2:
                 fractional = (A.n * B.n - 2) * (
-                    Fraction(A.n**2, B.n - 2) * steiner_wiener(B, 3)
-                    + Fraction(B.n**2, A.n - 2) * steiner_wiener(A, 3)
+                    Fraction(A.n**2, B.n - 2) * s3_b + Fraction(B.n**2, A.n - 2) * s3_a
                 )
                 c_frac.record(fractional == formula, P, detail)
             if P.n <= 100:

@@ -93,3 +93,22 @@ def is_bipartite(G: Graph) -> bool:
                 elif color[w] == color[v]:
                     return False
     return True
+
+
+def tree_steiner_distance(T: Graph, terminals) -> int:
+    """Steiner distance in a tree: the number of edges whose removal leaves
+    terminals on both sides (each such edge is in every tree spanning them)."""
+    wanted = set(terminals)
+    parent = [-1] * T.n
+    order = [0]
+    seen = {0}
+    for v in order:
+        for w in T.adjacency[v]:
+            if w not in seen:
+                seen.add(w)
+                parent[w] = v
+                order.append(w)
+    below = [int(v in wanted) for v in range(T.n)]
+    for v in reversed(order[1:]):
+        below[parent[v]] += below[v]
+    return sum(1 for v in order[1:] if 0 < below[v] < len(wanted))

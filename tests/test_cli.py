@@ -225,6 +225,16 @@ def test_verify_unknown_suite_rejected(capsys):
         main(["verify", "no-such-suite"])
 
 
+@pytest.mark.parametrize("cmd", ["index", "structure"])
+def test_seed_is_a_usage_error_outside_verify(capsys, cmd):
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, "--family", "path", "-n", "4", "--seed", "1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "unrecognized arguments: --seed 1" in captured.err
+    assert captured.out == ""
+
+
 def test_verify_json_deterministic_given_seed(capsys):
     args = ["verify", "trees", "--count", "20", "--seed", "3", "--json"]
     code1, out1, _ = run_cli(capsys, *args)

@@ -41,7 +41,7 @@ from swk.generators import (
 )
 from swk.graphs import fibonacci_cube
 
-from conftest import connected_graphs
+from conftest import connected_graphs, tree_steiner_distance
 
 
 # -- steiner_distance_3 -------------------------------------------------------
@@ -193,19 +193,19 @@ def test_sw_k_against_subset_table():
             assert steiner_wiener(g, k) == by_table
 
 
-def test_dw_numpy_path_matches_list_path():
-    # graphs above the size cutoff take the vectorized DP; pin both routes
-    # to the same answers on one mid-size instance
-    from swk.steiner import _dw_lists, _dw_numpy
-
+def test_dw_against_independent_references_on_large_graphs():
+    # 90-100 vertices: triples against the median scan on one random graph,
+    # 4-6 terminals against the edge-cut count on random trees
     rng = random.Random(61)
     g = random_connected(rng, 100, min_n=90)
     D = all_pairs_distances(g)
-    Dl = D.tolist()
     for _ in range(25):
-        ids = sorted(rng.sample(range(g.n), rng.randint(3, 6)))
-        assert _dw_numpy(D, ids) == _dw_lists(Dl, ids)
-        assert steiner_distance_dw(g, ids, dist=D) == _dw_lists(Dl, ids)
+        a, b, c = rng.sample(range(g.n), 3)
+        assert steiner_distance_dw(g, (a, b, c), dist=D) == steiner_distance_3(D, a, b, c)
+    for _ in range(25):
+        t = random_tree(rng.randint(90, 100), rng)
+        ids = rng.sample(range(t.n), rng.randint(4, 6))
+        assert steiner_distance_dw(t, ids) == tree_steiner_distance(t, ids)
 
 
 def _sw3_by_triples(g) -> int:
