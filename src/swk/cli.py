@@ -28,7 +28,7 @@ from .graphs import (
     parse_edgelist,
     read_graph6_file,
 )
-from .metric import all_pairs_distances, average_distance, wiener_index
+from .metric import MATRIX_LIMIT, all_pairs_distances, average_distance, wiener_index
 from .report import Report
 from .steiner import mean_steiner, steiner_wiener
 from .structure import classify_triples
@@ -107,7 +107,9 @@ def _load_graph(args) -> Graph:
         if args.n is None:
             raise ParseError("--family requires -n")
         name = _FAMILY_ALIASES.get(args.family, args.family)
-        return make_family(FamilySpec(name, args.n, args.m))
+        # Every command needs the distance matrix, so a family too large for
+        # it is rejected before it is built.
+        return make_family(FamilySpec(name, args.n, args.m), max_vertices=MATRIX_LIMIT)
     text = _read_text(args.input)
     fmt = args.format
     if fmt is None:

@@ -4,6 +4,13 @@ Graphs are simple, finite, undirected, with dense vertex ids 0..n-1.
 Instances are immutable after construction and safe to share read-only.
 The edge set is kept as sorted adjacency lists (for traversal); per-vertex
 neighbor bitmasks (for subset intersections) are built on first use.
+
+The producers of large graphs (the hypercube, Fibonacci and Lucas cube
+builders and the graph6 decoder) compute their edges as an (m, 2) numpy
+array, which :class:`Graph` turns into adjacency lists with a few array
+passes.  The small builders and the edge-list parser hand it Python pairs,
+which take the plain loop: on graphs of about ten vertices that loop is
+several times cheaper than the fixed cost of the numpy calls.
 """
 
 from __future__ import annotations
@@ -12,43 +19,59 @@ from bisect import bisect_left
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
+import numpy as np
+
 from .bitset import mask_of
 from .errors import ParseError, PreconditionError
 from .families import fibonacci, lucas
 
 DEFAULT_VERTEX_CAP = 1 << 20
 CUBE_ORDER_CAP = 30
+# Adjacency tuples are cut from about this many neighbour ids at a time.
+_TOLIST_ENTRIES = 1 << 16
 
 
 class Graph:
-    """Simple undirected graph with adjacency lists and neighbor bitmasks."""
+    """Simple undirected graph with adjacency lists and neighbor bitmasks.
+
+    ``edges`` is an iterable of (u, v) pairs or an (m, 2) integer ndarray.
+    Both give the same graph and reject bad input with the same message,
+    naming the first offending pair: an id outside 0..n-1, then a
+    self-loop.  Duplicates and reversed pairs collapse.  Arrays are
+    checked, deduplicated and sorted by numpy.  Pairs keep a Python loop:
+    on graphs of about ten vertices, which most callers build, it costs a
+    fraction of the numpy calls' fixed cost.
+    """
 
     __slots__ = ("n", "m", "adjacency", "labels", "_adj_bits")
 
     def __init__(
         self,
         n: int,
-        edges: Iterable[tuple[int, int]],
+        edges: Iterable[tuple[int, int]] | np.ndarray,
         labels: Iterable[str] | None = None,
     ):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        pairs: set[tuple[int, int]] = set()
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) outside vertex range 0..{n - 1}")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            pairs.add((u, v) if u < v else (v, u))
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in pairs:
-            adj[u].append(v)
-            adj[v].append(u)
+        if isinstance(edges, np.ndarray):
+            self.m, self.adjacency = _adjacency_from_array(n, edges)
+        else:
+            pairs: set[tuple[int, int]] = set()
+            for u, v in edges:
+                if not (0 <= u < n and 0 <= v < n):
+                    raise ValueError(f"edge ({u}, {v}) outside vertex range 0..{n - 1}")
+                if u == v:
+                    raise ValueError(f"self-loop at vertex {u}")
+                pairs.add((u, v) if u < v else (v, u))
+            adj: list[list[int]] = [[] for _ in range(n)]
+            for u, v in pairs:
+                adj[u].append(v)
+                adj[v].append(u)
+            self.m = len(pairs)
+            self.adjacency: tuple[tuple[int, ...], ...] = tuple(
+                tuple(sorted(a)) for a in adj
+            )
         self.n = n
-        self.m = len(pairs)
-        self.adjacency: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(a)) for a in adj
-        )
         self.labels = tuple(labels) if labels is not None else None
         if self.labels is not None and len(self.labels) != n:
             raise ValueError("labels length must equal vertex count")
@@ -88,6 +111,49 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _adjacency_from_array(
+    n: int, edges: np.ndarray
+) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Edge count and sorted adjacency tuples of an (m, 2) edge array.
+
+    Each edge is coded in both directions as u*n + v; one sort of those
+    codes followed by an adjacent compare drops duplicates and leaves
+    every neighbour list in order.  The tuples are cut from ``tolist()``
+    chunks mapped through one shared list of ids, so the vertex ids are
+    the same int objects in every tuple.
+    """
+    if edges.size == 0:
+        edges = np.empty((0, 2), dtype=np.int64)
+    if edges.ndim != 2 or edges.shape[1] != 2 or edges.dtype.kind not in "iu":
+        raise ValueError("edge array must be an (m, 2) integer array")
+    outside = ((edges < 0) | (edges >= n)).any(axis=1)
+    bad = outside | (edges[:, 0] == edges[:, 1])
+    if bad.any():
+        i = int(bad.argmax())
+        a, b = int(edges[i, 0]), int(edges[i, 1])
+        if outside[i]:
+            raise ValueError(f"edge ({a}, {b}) outside vertex range 0..{n - 1}")
+        raise ValueError(f"self-loop at vertex {a}")
+    u = edges[:, 0].astype(np.int64)
+    v = edges[:, 1].astype(np.int64)
+    codes = np.concatenate((u * n + v, v * n + u))
+    codes.sort()
+    codes = codes[np.diff(codes, prepend=-1) != 0]
+    rows, neighbours = np.divmod(codes, n)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=offsets[1:])
+    ids = list(range(n))
+    adjacency: list[tuple[int, ...]] = []
+    step = max(1, n * _TOLIST_ENTRIES // max(1, codes.size))
+    for lo in range(0, n, step):
+        hi = min(n, lo + step)
+        base = offsets[lo]
+        flat = list(map(ids.__getitem__, neighbours[base:offsets[hi]].tolist()))
+        bounds = (offsets[lo:hi + 1] - base).tolist()
+        adjacency.extend(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
+    return codes.size // 2, tuple(adjacency)
 
 
 def is_connected(G: Graph) -> bool:
@@ -199,9 +265,11 @@ def parse_graph6(data: bytes | str) -> Graph:
         data = data[len(_G6_HEADER):]
     if not data:
         raise ParseError("empty graph6 input")
-    for i, byte in enumerate(data):
-        if not 63 <= byte <= 126:
-            raise ParseError(f"graph6 byte {byte} at offset {i} outside 63..126")
+    raw = np.frombuffer(data, dtype=np.uint8)
+    outside = (raw < 63) | (raw > 126)
+    if outside.any():
+        i = int(outside.argmax())
+        raise ParseError(f"graph6 byte {data[i]} at offset {i} outside 63..126")
     n, body = _read_g6_size(data)
     if n >= _G6_CAP:
         raise ParseError(f"graph6 vertex count {n} exceeds the 2^18 limit")
@@ -209,20 +277,17 @@ def parse_graph6(data: bytes | str) -> Graph:
     need = (nbits + 5) // 6
     if len(body) != need:
         raise ParseError(f"graph6 body for n={n} needs {need} bytes, got {len(body)}")
-    bitvals: list[int] = []
-    for byte in body:
-        x = byte - 63
-        bitvals.extend((x >> s) & 1 for s in range(5, -1, -1))
-    if any(bitvals[nbits:]):
+    six = np.frombuffer(body, dtype=np.uint8) - np.uint8(63)
+    bits = np.unpackbits(six[:, None], axis=1)[:, 2:].ravel()
+    if bits[nbits:].any():
         raise ParseError("nonzero padding bits in graph6 body")
-    edges = []
-    k = 0
-    for v in range(1, n):
-        for u in range(v):
-            if bitvals[k]:
-                edges.append((u, v))
-            k += 1
-    return Graph(n, edges)
+    # Bit k is the pair (u, v) with k = v(v-1)/2 + u, u < v: column v
+    # is the last one whose start v(v-1)/2 is at most k.
+    k = np.flatnonzero(bits[:nbits])
+    cols = np.arange(n, dtype=np.int64)
+    starts = cols * (cols - 1) // 2
+    v = np.searchsorted(starts, k, side="right") - 1
+    return Graph(n, np.stack((k - starts[v], v), axis=1))
 
 
 def write_graph6(G: Graph, header: bool = False) -> bytes:
@@ -316,17 +381,39 @@ def star_graph(n: int) -> Graph:
     return Graph(n, [(0, v) for v in range(1, n)])
 
 
-def _cube_from_strings(width: int, values: list[int]) -> Graph:
-    order = sorted(values)
-    index = {x: i for i, x in enumerate(order)}
-    edges = []
-    for x in order:
-        for i in range(width):
-            y = x ^ (1 << i)
-            if y > x and y in index:
-                edges.append((index[x], index[y]))
-    labels = [format(x, f"0{width}b") if width else "" for x in order]
-    return Graph(len(order), edges, labels=labels)
+def _cube_from_strings(width: int, values: np.ndarray) -> Graph:
+    """Subgraph of the width-cube induced by a sorted int64 array of strings.
+
+    Strings one bit apart are joined: for each bit i, one searchsorted
+    finds x | 2^i among the strings for every x with bit i clear.
+    """
+    found = []
+    for i in range(width):
+        lo = np.flatnonzero((values & (1 << i)) == 0)
+        up = values[lo] | (1 << i)
+        hi = np.minimum(np.searchsorted(values, up), values.size - 1)
+        hit = values[hi] == up
+        found.append(np.stack((lo[hit], hi[hit]), axis=1))
+    edges = np.concatenate(found) if found else np.empty((0, 2), dtype=np.int64)
+    shifts = np.arange(width - 1, -1, -1, dtype=np.int64)
+    digits = ((values[:, None] >> shifts) & 1).astype(np.uint8) + ord("0")
+    text = digits.tobytes().decode("ascii")
+    labels = [text[i:i + width] for i in range(0, len(text), width)] if width else [""]
+    return Graph(values.size, edges, labels=labels)
+
+
+def _fibonacci_strings(n: int) -> np.ndarray:
+    """Sorted length-n strings with no two consecutive ones, as integers.
+
+    F_n = F_{n-1} followed by 2^{n-1} + F_{n-2}: strings with the top bit
+    set have a zero below it.  O(F(n+2)) work, not O(2^n).
+    """
+    prev, cur = np.zeros(1, dtype=np.int64), np.array([0, 1], dtype=np.int64)
+    if n == 0:
+        return prev
+    for k in range(2, n + 1):
+        prev, cur = cur, np.concatenate((cur, prev + (1 << (k - 1))))
+    return cur
 
 
 def _check_cube_order(n: int, nv: int, max_vertices: int) -> None:
@@ -339,7 +426,7 @@ def _check_cube_order(n: int, nv: int, max_vertices: int) -> None:
 def hypercube(n: int, max_vertices: int = DEFAULT_VERTEX_CAP) -> Graph:
     """n-cube on all binary strings of length n."""
     _check_cube_order(n, 1 << n, max_vertices)
-    return _cube_from_strings(n, list(range(1 << n)))
+    return _cube_from_strings(n, np.arange(1 << n, dtype=np.int64))
 
 
 def fibonacci_cube(n: int, max_vertices: int = DEFAULT_VERTEX_CAP) -> Graph:
@@ -349,8 +436,7 @@ def fibonacci_cube(n: int, max_vertices: int = DEFAULT_VERTEX_CAP) -> Graph:
     strings themselves.  |V| = F(n+2).
     """
     _check_cube_order(n, fibonacci(n + 2), max_vertices)
-    values = [x for x in range(1 << n) if x & (x >> 1) == 0]
-    return _cube_from_strings(n, values)
+    return _cube_from_strings(n, _fibonacci_strings(n))
 
 
 def lucas_cube(n: int, max_vertices: int = DEFAULT_VERTEX_CAP) -> Graph:
@@ -359,12 +445,9 @@ def lucas_cube(n: int, max_vertices: int = DEFAULT_VERTEX_CAP) -> Graph:
     |V| = L(n) for n >= 1; the order-0 cube is a single vertex.
     """
     _check_cube_order(n, lucas(n) if n >= 1 else 1, max_vertices)
-    hi = 1 << (n - 1) if n >= 1 else 0
-    values = [
-        x
-        for x in range(1 << n)
-        if x & (x >> 1) == 0 and not (x & hi and x & 1)
-    ]
+    values = _fibonacci_strings(n)
+    if n >= 1:
+        values = values[((values >> (n - 1)) & values & 1) == 0]
     return _cube_from_strings(n, values)
 
 

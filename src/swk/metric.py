@@ -17,11 +17,12 @@ from .bitset import pack_bool
 from .errors import PreconditionError
 from .graphs import Graph
 
-# n*n int32 beyond this is not worth materializing.
-_MATRIX_LIMIT = 8192
+# Largest vertex count whose n*n int32 distance matrix is materialized;
+# the CLI also caps the families it builds at this size.
+MATRIX_LIMIT = 8192
 # Bit planes are unpacked about this many bytes at a time.
 _UNPACK_BYTES = 1 << 16
-_PLANE_WEIGHTS = 1 << np.arange(_MATRIX_LIMIT.bit_length(), dtype=np.int32)
+_PLANE_WEIGHTS = 1 << np.arange(MATRIX_LIMIT.bit_length(), dtype=np.int32)
 
 
 def all_pairs_distances(G: Graph) -> np.ndarray:
@@ -34,8 +35,8 @@ def all_pairs_distances(G: Graph) -> np.ndarray:
     Level d is ORed into bit plane j for each bit j of d.
     """
     n = G.n
-    if n > _MATRIX_LIMIT:
-        raise PreconditionError(f"distance matrix limited to {_MATRIX_LIMIT} vertices")
+    if n > MATRIX_LIMIT:
+        raise PreconditionError(f"distance matrix limited to {MATRIX_LIMIT} vertices")
     if n <= 1:
         return np.zeros((n, n), dtype=np.int32)
     adjacency = G.adjacency

@@ -348,14 +348,19 @@ def sw3_product_modular(G: Graph, H: Graph) -> int:
         (|V(G)||V(H)| - 2)/2 * (|V(G)|^2 W(H) + |V(H)|^2 W(G))
 
     Factors with at most ``_PRODUCT_CHECK_N`` vertices are re-checked for
-    modularity; a non-modular factor is rejected.
+    modularity; a non-modular factor is rejected.  Each factor's distance
+    matrix is computed once and serves both its check and its W.
     """
     if G.n == 0 or H.n == 0:
         raise PreconditionError("product factors must be nonempty")
+    wiener = []
     for name, factor in (("first", G), ("second", H)):
-        if factor.n <= _PRODUCT_CHECK_N and not is_modular(factor):
+        D = all_pairs_distances(factor)
+        if factor.n <= _PRODUCT_CHECK_N and not is_modular(factor, dist=D):
             raise PreconditionError(f"{name} factor is not modular")
-    num = (G.n * H.n - 2) * (G.n * G.n * wiener_index(H) + H.n * H.n * wiener_index(G))
+        wiener.append(wiener_index(factor, dist=D))
+    w_g, w_h = wiener
+    num = (G.n * H.n - 2) * (G.n * G.n * w_h + H.n * H.n * w_g)
     if num % 2:
         raise AssertionError("product sw3 numerator not even; modularity violated?")
     return num // 2

@@ -112,3 +112,19 @@ def tree_steiner_distance(T: Graph, terminals) -> int:
     for v in reversed(order[1:]):
         below[parent[v]] += below[v]
     return sum(1 for v in order[1:] if 0 < below[v] < len(wanted))
+
+
+def brute_cube(n: int, keep) -> Graph:
+    """Subgraph of the n-cube induced by the strings x in 0..2^n-1 with
+    keep(x), by a scan of all 2^n strings and their Hamming-distance-1
+    pairs; vertex ids in numeric order, labels the n-digit strings."""
+    values = [x for x in range(1 << n) if keep(x)]
+    index = {x: i for i, x in enumerate(values)}
+    edges = [
+        (index[x], index[x ^ (1 << i)])
+        for x in values
+        for i in range(n)
+        if x ^ (1 << i) in index
+    ]
+    labels = [format(x, f"0{n}b") if n else "" for x in values]
+    return Graph(len(values), edges, labels=labels)

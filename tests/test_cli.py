@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -149,6 +150,16 @@ def test_disconnected_exit_code(tmp_path, capsys):
     code, _, err = run_cli(capsys, "index", "--input", str(f))
     assert code == 3
     assert "connected" in err
+
+
+@pytest.mark.parametrize("cmd", ["index", "structure"])
+def test_family_too_large_for_distances_exits_3_before_building(capsys, cmd):
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, cmd, "--family", "hypercube", "-n", "20")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 3
+    assert "1048576 vertices (cap 8192)" in err
+    assert out == ""
 
 
 def test_out_of_range_k_exit_code(capsys):

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
 from fractions import Fraction
 
 import pytest
+
+import swk
 
 from swk import (
     PreconditionError,
@@ -87,6 +91,23 @@ def test_sw3_closed_matches_brute_small():
 
 def test_product_sw3_p2_p2():
     assert sw3_product_modular(path_graph(2), path_graph(2)) == 8
+
+
+def test_product_sw3_computes_one_distance_matrix_per_factor(monkeypatch):
+    original = swk.metric.all_pairs_distances
+    calls = []
+
+    def counting(G):
+        calls.append(G.n)
+        return original(G)
+
+    modules = [swk] + [importlib.import_module(f"swk.{m.name}")
+                       for m in pkgutil.iter_modules(swk.__path__)]
+    for module in modules:
+        if getattr(module, "all_pairs_distances", None) is original:
+            monkeypatch.setattr(module, "all_pairs_distances", counting)
+    assert sw3_product_modular(cycle_graph(4), hypercube(3)) == 19200  # C4 x Q3 = Q5
+    assert sorted(calls) == [4, 8]
 
 
 def test_product_sw3_identity_factor():

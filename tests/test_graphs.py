@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,6 +35,8 @@ from swk import (
 )
 from swk.generators import random_connected
 
+from conftest import brute_cube
+
 
 @st.composite
 def simple_graphs(draw, max_n: int = 12) -> Graph:
@@ -58,6 +61,60 @@ def test_graph_rejects_self_loop_and_bad_ids():
         Graph(2, [(0, 0)])
     with pytest.raises(ValueError, match="outside"):
         Graph(2, [(0, 2)])
+
+
+def _random_pairs(rng: random.Random, n: int) -> list[tuple[int, int]]:
+    """Seeded pairs with repeats, both orientations, and untouched vertices."""
+    pool = [(u, v) for u in range(n) for v in range(n) if u != v]
+    if not pool:
+        return []
+    return [rng.choice(pool) for _ in range(rng.randint(0, 2 * n))]
+
+
+def test_graph_from_array_matches_pairs():
+    rng = random.Random(2024)
+    cases = [(0, []), (1, []), (2, []), (5, []), (2, [(0, 1), (1, 0), (0, 1)])]
+    cases += [(n, _random_pairs(rng, n)) for n in [rng.randint(0, 40) for _ in range(300)]]
+    for n, pairs in cases:
+        from_pairs = Graph(n, pairs)
+        from_array = Graph(n, np.array(pairs, dtype=np.int64).reshape(-1, 2))
+        assert from_array == from_pairs
+        assert from_array.m == from_pairs.m
+        assert all(type(w) is int for a in from_array.adjacency for w in a)
+    # Dtype and shape of an empty array do not matter; other shapes are rejected.
+    assert Graph(3, np.array([])) == Graph(3, [])
+    assert Graph(3, np.array([[0, 2]], dtype=np.uint8)) == Graph(3, [(0, 2)])
+    for bad in (np.array([0, 1]), np.array([[0, 1, 2]]), np.array([[0.0, 1.0]])):
+        with pytest.raises(ValueError, match="integer array"):
+            Graph(3, bad)
+
+
+@pytest.mark.parametrize(
+    "n,pairs",
+    [
+        (3, [(0, 1), (1, 3)]),
+        (3, [(0, 1), (-1, 2)]),
+        (3, [(0, 1), (2, 2), (0, 7)]),
+        (3, [(0, 1), (0, 7), (2, 2)]),
+        (3, [(4, 4)]),
+        (0, [(0, 0)]),
+        (1, [(0, 0)]),
+    ],
+)
+def test_graph_rejects_bad_pairs_alike_on_both_routes(n, pairs):
+    with pytest.raises(ValueError) as from_pairs:
+        Graph(n, pairs)
+    with pytest.raises(ValueError) as from_array:
+        Graph(n, np.array(pairs))
+    assert str(from_array.value) == str(from_pairs.value)
+
+
+def test_graph_array_route_names_unsigned_ids_exactly():
+    huge = (1 << 64) - 1
+    with pytest.raises(ValueError, match=rf"edge \(0, {huge}\) outside"):
+        Graph(3, np.array([[0, huge]], dtype=np.uint64))
+    with pytest.raises(ValueError, match=r"edge \(0, 300\) outside"):
+        Graph(256, np.array([[0, 300]], dtype=np.uint16))
 
 
 def test_edges_iterator_sorted():
@@ -174,6 +231,30 @@ def test_graph6_three_byte_size_form():
     assert encoded == theirs
 
 
+def _nx_random_graph(rng: random.Random, n: int) -> nx.Graph:
+    graph = nx.Graph()
+    graph.add_nodes_from(range(n))
+    density = rng.random()
+    graph.add_edges_from(
+        (u, v) for v in range(n) for u in range(v) if rng.random() < density
+    )
+    return graph
+
+
+def test_graph6_decode_matches_networkx():
+    rng = random.Random(6363)
+    graphs = [_nx_random_graph(rng, n) for n in (0, 1, 2, 62, 63, 64)]
+    graphs += [nx.complete_graph(n) for n in (2, 62, 63, 64)]
+    graphs += [_nx_random_graph(rng, rng.randint(0, 150)) for _ in range(50)]
+    for graph in graphs:
+        encoded = nx.to_graph6_bytes(graph, header=False).strip()
+        ours = parse_graph6(encoded)
+        theirs = nx.from_graph6_bytes(encoded)
+        assert ours.n == theirs.number_of_nodes() == graph.number_of_nodes()
+        assert list(ours.edges()) == sorted(tuple(sorted(e)) for e in theirs.edges())
+        assert ours.m == graph.number_of_edges()
+
+
 def test_read_graph6_file():
     text = "A_\nDhc\n\n"
     graphs = read_graph6_file(text)
@@ -189,6 +270,26 @@ def test_family_vertex_counts_match_sequences():
         assert fib_cube.n == fibonacci(n + 2)
         assert luc_cube.n == (lucas(n) if n >= 1 else 1)
         assert is_connected(fib_cube) and is_connected(luc_cube)
+
+
+def test_order_20_cubes_have_sequence_vertex_counts():
+    assert fibonacci_cube(20).n == fibonacci(22) == 17711
+    assert lucas_cube(20).n == lucas(20) == 15127
+
+
+@pytest.mark.parametrize("n", range(15))
+def test_cubes_match_brute_force_scan(n):
+    top = 1 << (n - 1) if n else 0
+    fib = lambda x: x & (x >> 1) == 0  # noqa: E731
+    assert_same = [
+        (hypercube(n), brute_cube(n, lambda x: True)),
+        (fibonacci_cube(n), brute_cube(n, fib)),
+        (lucas_cube(n), brute_cube(n, lambda x: fib(x) and not (x & top and x & 1))),
+    ]
+    for built, reference in assert_same:
+        assert built == reference
+        assert built.m == reference.m
+        assert built.labels == reference.labels
 
 
 def test_fibonacci_cube_4_has_8_vertices():
