@@ -47,7 +47,7 @@ from .graphs import (
     star_graph,
     write_graph6,
 )
-from .metric import all_pairs_distances, average_distance, interval, interval_masks, wiener_index
+from .metric import all_pairs_distances, average_distance, interval, wiener_index
 from .steiner import (
     BoundsReport,
     ModularBoundResult,
@@ -97,7 +97,6 @@ __all__ = [
     "fibonacci_cube",
     "hypercube",
     "interval",
-    "interval_masks",
     "is_block_graph",
     "is_connected",
     "is_median",

@@ -1,8 +1,10 @@
 """Vertex subsets as int bitmasks.
 
 Bit ``i`` set means vertex ``i`` is a member.  Plain Python ints give
-arbitrary-width bitsets with word-at-a-time AND/OR, which is what the
-triple-classification scan and the interval intersections lean on.
+arbitrary-width bitsets with word-at-a-time AND/OR.  Terminal sets, single
+intervals and median sets, block and cut-vertex sets and the Steiner oracle's
+connectivity test use them; the all-triples scan in ``structure`` packs
+its intervals into numpy uint64 words instead.
 """
 
 from __future__ import annotations

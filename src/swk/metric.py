@@ -1,4 +1,4 @@
-"""Shortest-path distances, Wiener index, average distance, intervals.
+"""Shortest-path distances, Wiener index, average distance, geodesic interval.
 
 Distance matrices are plain numpy int32 arrays (hop counts), materialized
 because the Steiner and structure layers look distances up n^3..n^4 times.
@@ -100,13 +100,3 @@ def interval(D: np.ndarray, u: int, v: int) -> int:
     """Bitmask of vertices on some shortest u-v path (always contains u, v)."""
     return pack_bool(D[u] + D[v] == D[u, v])
 
-
-def interval_masks(D: np.ndarray) -> list[list[int]]:
-    """All-pairs interval bitmasks: masks[u][v] = interval(D, u, v)."""
-    n = D.shape[0]
-    out = []
-    for u in range(n):
-        on = (D[u][None, :] + D) == D[u][:, None]
-        packed = np.packbits(on, axis=1, bitorder="little")
-        out.append([int.from_bytes(r.tobytes(), "little") for r in packed])
-    return out

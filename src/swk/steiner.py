@@ -30,7 +30,8 @@ from .graphs import Graph
 from .metric import all_pairs_distances, wiener_index
 from .structure import is_modular
 
-DEFAULT_K_MAX = 12
+# Largest terminal set or k: the DP has 2^k * n states per subset.
+K_MAX = 12
 _ORACLE_N_LIMIT = 20
 _INF = 1 << 40
 # Largest temporary of the SW_3 scan, in elements.
@@ -139,22 +140,19 @@ def _dreyfus_wagner(D: np.ndarray, ids: list[int]) -> int:
 
 
 def steiner_distance_dw(
-    G: Graph,
-    terminals: int | Iterable[int],
-    dist: np.ndarray | None = None,
-    k_max: int = DEFAULT_K_MAX,
+    G: Graph, terminals: int | Iterable[int], dist: np.ndarray | None = None
 ) -> int:
     """Exact d(S) via the Dreyfus-Wagner subset dynamic program.
 
     Agrees with the pairwise distance at |S| = 2 and with
     :func:`steiner_distance_3` at |S| = 3.  State space is 2^|S| * n, so
-    |S| is capped (default 12).
+    |S| is capped at ``K_MAX``.
     """
     ids = _terminals(terminals, G.n)
     if not ids:
         raise PreconditionError("terminal set is empty")
-    if len(ids) > k_max:
-        raise PreconditionError(f"terminal set too large ({len(ids)} > {k_max})")
+    if len(ids) > K_MAX:
+        raise PreconditionError(f"terminal set too large ({len(ids)} > {K_MAX})")
     if len(ids) == 1:
         return 0
     D = all_pairs_distances(G) if dist is None else dist
@@ -185,20 +183,15 @@ def _sw3(D: np.ndarray) -> int:
     return total
 
 
-def steiner_wiener(
-    G: Graph,
-    k: int,
-    dist: np.ndarray | None = None,
-    k_max: int = DEFAULT_K_MAX,
-) -> int:
+def steiner_wiener(G: Graph, k: int, dist: np.ndarray | None = None) -> int:
     """Sum of d(S) over all k-element vertex subsets.
 
     k = 2 reproduces the Wiener index; k = 3 runs the median-candidate
     scan; larger k runs the Dreyfus-Wagner program once per k-subset.
     When k exceeds the vertex count there are no k-subsets and the sum is 0.
     """
-    if k < 2 or k > k_max:
-        raise PreconditionError(f"k must be in 2..{k_max}")
+    if k < 2 or k > K_MAX:
+        raise PreconditionError(f"k must be in 2..{K_MAX}")
     n = G.n
     if k > n:
         return 0
@@ -210,16 +203,11 @@ def steiner_wiener(
     return sum(_dreyfus_wagner(D, list(S)) for S in combinations(range(n), k))
 
 
-def mean_steiner(
-    G: Graph,
-    k: int,
-    dist: np.ndarray | None = None,
-    k_max: int = DEFAULT_K_MAX,
-) -> Fraction:
+def mean_steiner(G: Graph, k: int, dist: np.ndarray | None = None) -> Fraction:
     """Average Steiner distance over k-subsets: SW_k / C(n, k), exact."""
     if k > G.n:
         raise PreconditionError("k exceeds the vertex count")
-    return Fraction(steiner_wiener(G, k, dist=dist, k_max=k_max), comb(G.n, k))
+    return Fraction(steiner_wiener(G, k, dist=dist), comb(G.n, k))
 
 
 def jiang_f(k: int) -> Fraction:
@@ -258,10 +246,7 @@ def _cmp(name: str, left: Fraction, relation: str, right: Fraction,
 
 
 def check_bounds(
-    G: Graph,
-    k: int,
-    dist: np.ndarray | None = None,
-    k_max: int = DEFAULT_K_MAX,
+    G: Graph, k: int, dist: np.ndarray | None = None,
     mu_cache: dict[int, Fraction] | None = None,
 ) -> BoundsReport:
     """Evaluate the classical mean-Steiner-distance inequalities exactly.
@@ -279,14 +264,14 @@ def check_bounds(
     ``mu_cache`` lets callers share mean-Steiner values across several k.
     """
     n = G.n
-    if k < 3 or k > min(n, k_max):
-        raise PreconditionError(f"k must be in 3..min(n, {k_max})")
+    if k < 3 or k > min(n, K_MAX):
+        raise PreconditionError(f"k must be in 3..min(n, {K_MAX})")
     D = all_pairs_distances(G) if dist is None else dist
     cache = mu_cache if mu_cache is not None else {}
 
     def mu(j: int) -> Fraction:
         if j not in cache:
-            cache[j] = mean_steiner(G, j, dist=D, k_max=k_max)
+            cache[j] = mean_steiner(G, j, dist=D)
         return cache[j]
 
     mu_k = mu(k)

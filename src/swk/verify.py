@@ -3,6 +3,10 @@ brute-force recomputation on seeded corpora.
 
 Each suite aggregates named properties over many instances; the first
 failing instance (if any) is serialized as graph6 so it can be replayed.
+The block-graphs suite's half-perimeter and pseudo-median checks are numpy
+scans over the distance matrix alone: the same suite tests the triple
+kernels of ``structure`` and ``steiner``, so its own checks share no code
+with them.
 """
 
 from __future__ import annotations
@@ -12,8 +16,10 @@ import time
 from fractions import Fraction
 from itertools import combinations, permutations
 
+import numpy as np
+
 from .blocks import block_decomposition, nm_block_graph, sw3_block_formula
-from .errors import ParseError
+from .errors import ParseError, PreconditionError
 from .families import (
     fibonacci,
     lucas,
@@ -44,7 +50,7 @@ from .graphs import (
     star_graph,
     write_graph6,
 )
-from .metric import all_pairs_distances, interval_masks, wiener_index
+from .metric import all_pairs_distances, wiener_index
 from .report import Report
 from .steiner import (
     check_bounds,
@@ -111,6 +117,12 @@ class Check:
         report.add_check(self.name, self.holds, required=self.required, **extra)
 
 
+def _require_max_n(max_n: int, least: int) -> None:
+    """Reject a size bound below the suite's smallest draw, before drawing."""
+    if max_n < least:
+        raise PreconditionError(f"--max-n must be at least {least} for this suite, got {max_n}")
+
+
 def _finish(report: Report, checks: list[Check], started: float) -> Report:
     for check in checks:
         check.add_to(report)
@@ -119,6 +131,7 @@ def _finish(report: Report, checks: list[Check], started: float) -> Report:
 
 
 def _suite_trees(*, count: int = 200, max_n: int = 12, seed: int = 42, **_) -> Report:
+    _require_max_n(max_n, 3)
     started = time.perf_counter()
     rng = random.Random(seed)
     c_ident = Check("tree-double-sw3-equals-(n-2)-wiener")
@@ -157,6 +170,8 @@ def _modular_bound_corpus(count, max_n, seed, corpus):
 def _suite_modular_bound(
     *, count: int = 10000, max_n: int = 9, seed: int = 42, corpus=None, **_
 ) -> Report:
+    if corpus is None:
+        _require_max_n(max_n, 3)
     started = time.perf_counter()
     c_lower = Check("double-sw3-at-least-(n-2)-wiener")
     c_iff = Check("equality-iff-modular")
@@ -180,50 +195,52 @@ def _suite_modular_bound(
     return _finish(report, [c_lower, c_iff], started)
 
 
-def _triangle_gates(D, triple, tri) -> bool:
-    a, b, c = triple
-    for p, q, r in permutations(tri):
-        if (
-            D[a, p] + 1 + D[q, b] == D[a, b]
-            and D[b, q] + 1 + D[r, c] == D[b, c]
-            and D[a, p] + 1 + D[r, c] == D[a, c]
-        ):
-            return True
-    return False
+# The six orders (p, q, r) of a triangle's vertices.
+_ORDERS = np.array(list(permutations(range(3))))
 
 
-def _pseudo_median_ok(G: Graph, D) -> bool:
-    # Every triple has a unique median vertex or a unique gating triangle.
-    n = G.n
-    I = interval_masks(D)
-    triangles = [
-        (p, q, r)
-        for p in range(n)
-        for q in range(p + 1, n)
-        if G.has_edge(p, q)
-        for r in range(q + 1, n)
-        if G.has_edge(p, r) and G.has_edge(q, r)
-    ]
+def _median_free_checks(D: np.ndarray) -> tuple[bool, bool]:
+    """(half-perimeter holds, pseudo-median holds) over triples a < b < c.
+
+    Half-perimeter: 2 d({a,b,c}) = D[a,b] + D[b,c] + D[a,c] + 1 on every
+    median-free triple.  Pseudo-median: no triple has two medians, and each
+    median-free one has exactly one triangle with some order (p, q, r) on
+    shortest a-b, b-c and a-c paths through pq, qr and pr.  Both read only
+    D, so they share no code with the structure and SW_3 kernels that the
+    suite tests.  The largest temporaries hold n^3 elements and, for one
+    first vertex, 6 T elements per median-free triple (T triangles).
+    """
+    n = D.shape[0]
+    on = D[:, None, :] + D[None, :, :] == D[:, :, None]  # on[x, y, v]: v on an x-y geodesic
+    up = np.triu(D == 1)
+    triangles = np.argwhere(up[:, :, None] & up[:, None, :] & up[None, :, :])
+    p, q, r = triangles[:, _ORDERS].reshape(-1, 3).T
+    B, C = np.triu_indices(n, 1)  # pairs b < c, sorted by b
+    half_ok = pm_ok = True
     for a in range(n - 2):
-        for b in range(a + 1, n - 1):
-            iab = I[a][b]
-            for c in range(b + 1, n):
-                mset = iab & I[a][c] & I[b][c]
-                if mset:
-                    if mset.bit_count() != 1:
-                        return False
-                    continue
-                gating = sum(
-                    1 for tri in triangles if _triangle_gates(D, (a, b, c), tri)
-                )
-                if gating != 1:
-                    return False
-    return True
+        later = B > a
+        b, c = B[later], C[later]
+        medians = (on[a, b] & on[a, c] & on[b, c]).sum(axis=1)
+        pm_ok &= not (medians > 1).any()
+        free = medians == 0
+        if not free.any():
+            continue
+        b, c = b[free], c[free]
+        ab, ac, bc = D[a, b], D[a, c], D[b, c]
+        half_ok &= bool((2 * (D[a] + D[b] + D[c]).min(axis=1) == ab + ac + bc + 1).all())
+        near, qb, rc = D[a, p][:, None] + 1, D[q][:, b], D[r][:, c]
+        gate = (near + qb == ab) & (qb + 1 + rc == bc) & (near + rc == ac)
+        gating = gate.reshape(-1, len(_ORDERS), b.size).any(axis=1).sum(axis=0)
+        pm_ok &= bool((gating == 1).all())
+        if not (half_ok or pm_ok):
+            break
+    return half_ok, pm_ok
 
 
 def _suite_block_graphs(
     *, count: int = 1000, max_n: int = 12, seed: int = 42, **_
 ) -> Report:
+    _require_max_n(max_n, 3)
     started = time.perf_counter()
     rng = random.Random(seed)
     c_formula = Check("block-formula-equals-double-brute-sw3")
@@ -238,15 +255,9 @@ def _suite_block_graphs(
         cls = classify_triples(G, dist=D)
         c_formula.record(sw3_block_formula(G, decomp, dist=D) == 2 * s3, G)
         c_nm.record(nm_block_graph(G, decomp) == cls.nonmodular, G)
-        I = interval_masks(D)
-        ok_half = all(
-            2 * steiner_distance_3(D, a, b, c)
-            == int(D[a, b]) + int(D[a, c]) + int(D[b, c]) + 1
-            for a, b, c in combinations(range(G.n), 3)
-            if not I[a][b] & I[a][c] & I[b][c]
-        )
+        ok_half, ok_pm = _median_free_checks(D)
         c_half.record(ok_half, G)
-        c_pm.record(_pseudo_median_ok(G, D), G)
+        c_pm.record(ok_pm, G)
     return _finish(Report(), [c_formula, c_nm, c_half, c_pm], started)
 
 
@@ -353,6 +364,9 @@ def _suite_cubes(family: str, *, max_n: int = 10, wiener_max_n: int = 14, **_) -
 def _suite_bounds(
     *, count: int = 500, max_n: int = 10, seed: int = 42, k_cap: int = 5, **_
 ) -> Report:
+    _require_max_n(max_n, 3)
+    if k_cap < 3:
+        raise PreconditionError(f"--k-cap must be at least 3, got {k_cap}")
     started = time.perf_counter()
     rng = random.Random(seed)
     rows: dict[str, Check] = {}
@@ -369,6 +383,9 @@ def _suite_bounds(
                         chk.name, required=chk.status == "proved"
                     )
                 row.record(chk.holds, G)
+    if not rows:
+        # no instance drawn: one required row with 0 instances fails the run
+        rows["mean-steiner-bounds"] = Check("mean-steiner-bounds")
     ordered = [rows[name] for name in sorted(rows)]
     return _finish(Report(), ordered, started)
 
@@ -376,6 +393,7 @@ def _suite_bounds(
 def _suite_steiner_oracle(
     *, count: int = 200, max_n: int = 9, seed: int = 42, **_
 ) -> Report:
+    _require_max_n(max_n, 5)
     started = time.perf_counter()
     rng = random.Random(seed)
     c_triples = Check("steiner-triple-routes-agree")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Iterator
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import strategies as st
@@ -21,6 +21,8 @@ from swk.generators import (
     random_tree,
 )
 from swk.graphs import Graph, is_connected
+from swk.metric import interval
+from swk.steiner import steiner_distance_3
 
 
 def enumerate_connected_graphs(n: int) -> Iterator[Graph]:
@@ -128,3 +130,52 @@ def brute_cube(n: int, keep) -> Graph:
     ]
     labels = [format(x, f"0{n}b") if n else "" for x in values]
     return Graph(len(values), edges, labels=labels)
+
+
+def _median_mask(D, a: int, b: int, c: int) -> int:
+    return interval(D, a, b) & interval(D, a, c) & interval(D, b, c)
+
+
+def _triangle_gates(D, triple, tri) -> bool:
+    """Some order (p, q, r) of the triangle lies on shortest a-b, b-c and
+    a-c paths through its edges pq, qr and pr."""
+    a, b, c = triple
+    for p, q, r in permutations(tri):
+        if (
+            D[a, p] + 1 + D[q, b] == D[a, b]
+            and D[b, q] + 1 + D[r, c] == D[b, c]
+            and D[a, p] + 1 + D[r, c] == D[a, c]
+        ):
+            return True
+    return False
+
+
+def walk_pseudo_median(G: Graph, D) -> bool:
+    """Reference: every triple has a unique median vertex or, if it has no
+    median, a unique gating triangle.  A walk over triples and triangles."""
+    n = G.n
+    triangles = [
+        (p, q, r)
+        for p, q, r in combinations(range(n), 3)
+        if G.has_edge(p, q) and G.has_edge(p, r) and G.has_edge(q, r)
+    ]
+    for triple in combinations(range(n), 3):
+        medians = _median_mask(D, *triple)
+        if medians:
+            if medians.bit_count() != 1:
+                return False
+            continue
+        if sum(1 for tri in triangles if _triangle_gates(D, triple, tri)) != 1:
+            return False
+    return True
+
+
+def walk_half_perimeter(D) -> bool:
+    """Reference: every median-free triple has Steiner distance half its
+    perimeter plus one half.  A walk over triples."""
+    return all(
+        2 * steiner_distance_3(D, a, b, c)
+        == int(D[a, b]) + int(D[a, c]) + int(D[b, c]) + 1
+        for a, b, c in combinations(range(D.shape[0]), 3)
+        if not _median_mask(D, a, b, c)
+    )

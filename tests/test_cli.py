@@ -167,6 +167,45 @@ def test_out_of_range_k_exit_code(capsys):
     assert code == 3
 
 
+def test_k_above_the_terminal_cap_exit_code(capsys):
+    code, out, err = run_cli(capsys, "index", "--family", "path", "-n", "14", "-k", "13")
+    assert code == 3
+    assert "2..12" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "suite,flag,low,least",
+    [
+        ("trees", "--max-n", 2, 3),
+        ("modular-bound", "--max-n", 2, 3),
+        ("block-graphs", "--max-n", 2, 3),
+        ("block-graphs", "--max-n", 0, 3),
+        ("bounds", "--max-n", 2, 3),
+        ("steiner-oracle", "--max-n", 4, 5),
+        ("bounds", "--k-cap", 2, 3),
+        ("bounds", "--k-cap", 0, 3),
+    ],
+)
+def test_verify_size_below_suite_minimum_exits_3(capsys, suite, flag, low, least):
+    code, out, err = run_cli(capsys, "verify", suite, flag, str(low))
+    assert code == 3
+    assert f"{flag} must be at least {least}" in err
+    assert out == ""
+    code, _, _ = run_cli(capsys, "verify", suite, flag, str(least), "--count", "2")
+    assert code == 0
+
+
+def test_verify_corpus_ignores_max_n(tmp_path, capsys):
+    corpus = tmp_path / "c.g6"
+    corpus.write_text("Dhc\nC~\n")
+    code, out, _ = run_cli(
+        capsys, "verify", "modular-bound", "--corpus", str(corpus), "--max-n", "2"
+    )
+    assert code == 0
+    assert "equality-iff-modular (2 instances)" in out
+
+
 def test_input_and_family_mutually_exclusive(capsys):
     code, _, err = run_cli(capsys, "index")
     assert code == 2
@@ -267,7 +306,7 @@ def test_verify_json_block_graphs(capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [("trees", "--count", "0"), ("products", "--max-size", "1")],
+    [("trees", "--count", "0"), ("products", "--max-size", "1"), ("bounds", "--count", "0")],
 )
 def test_verify_with_no_instances_fails(capsys, argv):
     code, out, err = run_cli(capsys, "verify", *argv, "--json")

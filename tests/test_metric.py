@@ -20,7 +20,6 @@ from swk import (
     fibonacci_cube,
     hypercube,
     interval,
-    interval_masks,
     lucas_cube,
     path_graph,
     star_graph,
@@ -167,15 +166,6 @@ def test_interval_basics():
     assert interval(D, 0, 2) == mask_of([0, 1, 2, 3])  # opposite corners
     c5 = all_pairs_distances(cycle_graph(5))
     assert bit_list(interval(c5, 0, 2)) == [0, 1, 2]
-
-
-def test_interval_masks_agree_with_interval():
-    g = cycle_graph(5)
-    D = all_pairs_distances(g)
-    I = interval_masks(D)
-    for u in range(5):
-        for v in range(5):
-            assert I[u][v] == interval(D, u, v)
 
 
 def test_interval_matches_path_enumeration(small_corpus):

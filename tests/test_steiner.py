@@ -89,13 +89,13 @@ def test_dw_hypercube_even_weight_set():
 
 
 def test_dw_rejects_bad_terminals():
-    g = path_graph(5)
-    with pytest.raises(PreconditionError, match="too large"):
-        steiner_distance_dw(g, list(range(5)), k_max=4)
+    g = path_graph(13)
+    with pytest.raises(PreconditionError, match=r"too large \(13 > 12\)"):
+        steiner_distance_dw(g, list(range(13)))
     with pytest.raises(PreconditionError, match="empty"):
         steiner_distance_dw(g, [])
     with pytest.raises(PreconditionError):
-        steiner_distance_dw(g, [7])
+        steiner_distance_dw(g, [13])
 
 
 # -- exponential oracle ---------------------------------------------------------

@@ -1,0 +1,106 @@
+"""The verify suites' own checks and parameter handling.
+
+The block-graphs suite's half-perimeter and pseudo-median checks are numpy
+scans over D; ``conftest`` keeps the triple walks they replaced, built on
+``metric.interval``, as the reference.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from swk import (
+    all_pairs_distances,
+    complete_bipartite_graph,
+    cycle_graph,
+    hypercube,
+)
+from swk.generators import paw_graph, random_block_graph, random_connected
+from swk.graphs import Graph
+from swk.verify import _median_free_checks, run_suite
+
+from conftest import walk_half_perimeter, walk_pseudo_median
+
+
+def _reference(G: Graph, D) -> tuple[bool, bool]:
+    return walk_half_perimeter(D), walk_pseudo_median(G, D)
+
+
+def test_median_free_checks_match_walks_on_block_graphs():
+    rng = random.Random(2024)
+    for _ in range(150):
+        G = random_block_graph(rng, 12)
+        D = all_pairs_distances(G)
+        assert _median_free_checks(D) == _reference(G, D) == (True, True)
+
+
+def test_median_free_checks_match_walks_on_random_graphs():
+    rng = random.Random(31)
+    seen = set()
+    for _ in range(200):
+        G = random_connected(rng, 10)
+        D = all_pairs_distances(G)
+        result = _median_free_checks(D)
+        assert result == _reference(G, D)
+        seen.add(result)
+    # the corpus fails the pseudo-median check alone, both checks, and
+    # neither; a gating triangle makes 2 d = perimeter + 1, so a graph
+    # that passes the pseudo-median check passes the half-perimeter one
+    assert seen == {(True, True), (True, False), (False, False)}
+
+
+@pytest.mark.parametrize(
+    "G,expected",
+    [
+        # its triple {2, 3, 4} has two medians, 0 and 1
+        (complete_bipartite_graph(2, 3), (True, False)),
+        # {0, 1, 3} has no median and C_5 has no triangle
+        (cycle_graph(5), (True, False)),
+        # {0, 2, 4} has no median, no triangle, and d = 4 > (6 + 1) / 2
+        (cycle_graph(6), (False, False)),
+        (hypercube(3), (True, True)),
+        (paw_graph(), (True, True)),
+        # two triangles and a pendant path: a block graph
+        (Graph(7, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4), (4, 5), (5, 6)]),
+         (True, True)),
+    ],
+)
+def test_median_free_checks_hand_cases(G, expected):
+    D = all_pairs_distances(G)
+    assert _median_free_checks(D) == _reference(G, D) == expected
+
+
+def test_median_free_checks_use_no_library_triple_kernel(monkeypatch):
+    import swk.steiner
+    import swk.structure
+    import swk.verify
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("library kernel called")
+
+    for module, name in [
+        (swk.steiner, "_sw3"),
+        (swk.steiner, "steiner_distance_3"),
+        (swk.verify, "steiner_distance_3"),
+        (swk.structure, "_median_counts"),
+        (swk.structure, "_interval_words"),
+        (swk.structure, "median_set"),
+    ]:
+        monkeypatch.setattr(module, name, forbidden)
+    monkeypatch.setattr(Graph, "has_edge", forbidden)
+    rng = random.Random(5)
+    for _ in range(20):
+        G = random_connected(rng, 9)
+        _median_free_checks(all_pairs_distances(G))
+
+
+def test_block_graphs_suite_at_defaults():
+    report = run_suite("block-graphs")
+    assert [(c["name"], c["instances"], c["holds"]) for c in report.checks] == [
+        ("block-formula-equals-double-brute-sw3", 1000, True),
+        ("blockwise-nonmodular-count-equals-triple-scan", 1000, True),
+        ("nonmodular-triples-exceed-half-perimeter-by-half", 1000, True),
+        ("pseudo-median-triples", 1000, True),
+    ]
