@@ -15,6 +15,8 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 from .bitset import bit_list
@@ -30,7 +32,7 @@ from .graphs import (
 )
 from .metric import MATRIX_LIMIT, all_pairs_distances, average_distance, wiener_index
 from .report import Report
-from .steiner import mean_steiner, steiner_wiener
+from .steiner import steiner_wiener
 from .structure import classify_triples
 from .verify import SUITE_NAMES, run_suite
 
@@ -139,11 +141,12 @@ def cmd_index(args) -> Report:
     report.graph = _graph_summary(G)
     t0 = time.perf_counter()
     report.add_result("wiener", wiener_index(G, dist=D))
-    report.add_result(f"steiner_wiener_k{k}", steiner_wiener(G, k, dist=D))
+    sw = steiner_wiener(G, k, dist=D)
+    report.add_result(f"steiner_wiener_k{k}", sw)
     if G.n >= 2:
         report.add_result("mean_distance", average_distance(G, dist=D))
     if G.n >= k:
-        report.add_result(f"mean_steiner_k{k}", mean_steiner(G, k, dist=D))
+        report.add_result(f"mean_steiner_k{k}", Fraction(sw, comb(G.n, k)))
     report.timing_ms["indices"] = (time.perf_counter() - t0) * 1000.0
     return report
 

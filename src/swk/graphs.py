@@ -2,22 +2,21 @@
 
 Graphs are simple, finite, undirected, with dense vertex ids 0..n-1.
 Instances are immutable after construction and safe to share read-only.
-The edge set is kept as sorted adjacency lists (for traversal); per-vertex
-neighbor bitmasks (for subset intersections) are built on first use.
-
-The producers of large graphs (the hypercube, Fibonacci and Lucas cube
-builders and the graph6 decoder) compute their edges as an (m, 2) numpy
-array, which :class:`Graph` turns into adjacency lists with a few array
-passes.  The small builders and the edge-list parser hand it Python pairs,
-which take the plain loop: on graphs of about ten vertices that loop is
-several times cheaper than the fixed cost of the numpy calls.
+The small builders and the edge-list parser hand :class:`Graph` Python
+pairs, which become sorted adjacency tuples at once: on graphs of about ten
+vertices that loop is several times cheaper than the numpy calls' fixed
+cost.  The producers of large graphs (the hypercube, Fibonacci and Lucas
+cube builders and the graph6 decoder) hand it an (m, 2) numpy edge array,
+which it keeps as CSR arrays; their adjacency tuples, the cube labels and
+every graph's neighbor bitmasks are built on first use.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -37,24 +36,28 @@ class Graph:
     ``edges`` is an iterable of (u, v) pairs or an (m, 2) integer ndarray.
     Both give the same graph and reject bad input with the same message,
     naming the first offending pair: an id outside 0..n-1, then a
-    self-loop.  Duplicates and reversed pairs collapse.  Arrays are
-    checked, deduplicated and sorted by numpy.  Pairs keep a Python loop:
-    on graphs of about ten vertices, which most callers build, it costs a
-    fraction of the numpy calls' fixed cost.
+    self-loop.  Duplicates and reversed pairs collapse.
+
+    Pairs fill ``adjacency`` at once and leave ``indptr`` and ``indices``
+    None.  An array is kept as CSR arrays: the sorted neighbours of v are
+    ``indices[indptr[v]:indptr[v + 1]]``.  ``labels`` may be a function.
+    ``__getattr__`` fills an unset ``adjacency``, ``adj_bits`` or ``labels``
+    slot on first read; Python calls it only when the normal lookup fails,
+    so hot loops reading the slots pay nothing for it.
     """
 
-    __slots__ = ("n", "m", "adjacency", "labels", "_adj_bits")
+    __slots__ = ("n", "m", "adjacency", "adj_bits", "labels", "indptr", "indices", "_labels")
 
     def __init__(
         self,
         n: int,
         edges: Iterable[tuple[int, int]] | np.ndarray,
-        labels: Iterable[str] | None = None,
+        labels: Iterable[str] | Callable[[], Iterable[str]] | None = None,
     ):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         if isinstance(edges, np.ndarray):
-            self.m, self.adjacency = _adjacency_from_array(n, edges)
+            self.m, self.indptr, self.indices = _csr_from_array(n, edges)
         else:
             pairs: set[tuple[int, int]] = set()
             for u, v in edges:
@@ -71,20 +74,24 @@ class Graph:
             self.adjacency: tuple[tuple[int, ...], ...] = tuple(
                 tuple(sorted(a)) for a in adj
             )
+            self.indptr = self.indices = None
         self.n = n
-        self.labels = tuple(labels) if labels is not None else None
-        if self.labels is not None and len(self.labels) != n:
-            raise ValueError("labels length must equal vertex count")
-        self._adj_bits = None
+        self._labels = labels
+        if not callable(labels):
+            self.labels = tuple(labels) if labels is not None else None
+            if self.labels is not None and len(self.labels) != n:
+                raise ValueError("labels length must equal vertex count")
 
-    @property
-    def adj_bits(self) -> tuple[int, ...]:
-        if self._adj_bits is None:
-            self._adj_bits = tuple(mask_of(a) for a in self.adjacency)
-        return self._adj_bits
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
+    def __getattr__(self, name: str):
+        if name == "adjacency":
+            self.adjacency = _tuples_from_csr(self.indptr, self.indices)
+        elif name == "adj_bits":
+            self.adj_bits = tuple(mask_of(a) for a in self.adjacency)
+        elif name == "labels":
+            self.labels = tuple(self._labels())
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        return getattr(self, name)
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -113,16 +120,12 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def _adjacency_from_array(
-    n: int, edges: np.ndarray
-) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """Edge count and sorted adjacency tuples of an (m, 2) edge array.
+def _csr_from_array(n: int, edges: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """Edge count and CSR arrays (indptr, indices) of an (m, 2) edge array.
 
     Each edge is coded in both directions as u*n + v; one sort of those
     codes followed by an adjacent compare drops duplicates and leaves
-    every neighbour list in order.  The tuples are cut from ``tolist()``
-    chunks mapped through one shared list of ids, so the vertex ids are
-    the same int objects in every tuple.
+    every neighbour list in order.
     """
     if edges.size == 0:
         edges = np.empty((0, 2), dtype=np.int64)
@@ -141,25 +144,46 @@ def _adjacency_from_array(
     codes = np.concatenate((u * n + v, v * n + u))
     codes.sort()
     codes = codes[np.diff(codes, prepend=-1) != 0]
-    rows, neighbours = np.divmod(codes, n)
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=offsets[1:])
+    rows, indices = np.divmod(codes, n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return codes.size // 2, indptr, indices
+
+
+def _tuples_from_csr(indptr: np.ndarray, indices: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """Adjacency tuples cut from ``tolist()`` chunks mapped through one shared
+    list of ids, so the vertex ids are the same int objects in every tuple."""
+    n = indptr.size - 1
     ids = list(range(n))
     adjacency: list[tuple[int, ...]] = []
-    step = max(1, n * _TOLIST_ENTRIES // max(1, codes.size))
+    step = max(1, n * _TOLIST_ENTRIES // max(1, indices.size))
     for lo in range(0, n, step):
         hi = min(n, lo + step)
-        base = offsets[lo]
-        flat = list(map(ids.__getitem__, neighbours[base:offsets[hi]].tolist()))
-        bounds = (offsets[lo:hi + 1] - base).tolist()
+        base = indptr[lo]
+        flat = list(map(ids.__getitem__, indices[base:indptr[hi]].tolist()))
+        bounds = (indptr[lo:hi + 1] - base).tolist()
         adjacency.extend(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
-    return codes.size // 2, tuple(adjacency)
+    return tuple(adjacency)
 
 
 def is_connected(G: Graph) -> bool:
-    """True iff every vertex is reachable from vertex 0 (vacuously for n <= 1)."""
+    """True iff every vertex is reachable from vertex 0 (vacuously for n <= 1).
+
+    CSR arrays are searched level by level in numpy, so no tuples are built.
+    Pair-built graphs have no arrays and keep the Python BFS over their
+    tuples: at ten vertices it is about ten times cheaper than numpy's.
+    """
     if G.n <= 1:
         return True
+    if G.indptr is not None:
+        seen = np.zeros(G.n, dtype=bool)
+        seen[0] = True
+        frontier, degrees = seen, np.diff(G.indptr)
+        while frontier.any():
+            grown = seen.copy()
+            grown[G.indices[np.repeat(frontier, degrees)]] = True
+            frontier, seen = grown & ~seen, grown
+        return bool(seen.all())
     seen = bytearray(G.n)
     seen[0] = 1
     stack = [0]
@@ -395,11 +419,11 @@ def _cube_from_strings(width: int, values: np.ndarray) -> Graph:
         hit = values[hi] == up
         found.append(np.stack((lo[hit], hi[hit]), axis=1))
     edges = np.concatenate(found) if found else np.empty((0, 2), dtype=np.int64)
-    shifts = np.arange(width - 1, -1, -1, dtype=np.int64)
-    digits = ((values[:, None] >> shifts) & 1).astype(np.uint8) + ord("0")
-    text = digits.tobytes().decode("ascii")
-    labels = [text[i:i + width] for i in range(0, len(text), width)] if width else [""]
-    return Graph(values.size, edges, labels=labels)
+    return Graph(values.size, edges, labels=partial(_bit_strings, width, values))
+
+
+def _bit_strings(width: int, values: np.ndarray) -> list[str]:
+    return [format(x, f"0{width}b") for x in values.tolist()] if width else [""]
 
 
 def _fibonacci_strings(n: int) -> np.ndarray:

@@ -53,6 +53,7 @@ from .graphs import (
 from .metric import all_pairs_distances, wiener_index
 from .report import Report
 from .steiner import (
+    K_MAX,
     check_bounds,
     check_sw3_modular_bound,
     steiner_distance_3,
@@ -334,19 +335,19 @@ def _suite_cubes(family: str, *, max_n: int = 10, wiener_max_n: int = 14, **_) -
     for n, expected in enumerate(table):
         c_seq.record(closed_sw3(n) == expected, detail=f"n={n}")
     c_counts = Check("vertex-count-matches-number-sequence")
-    for n in range(21):
-        G = build(n)
-        c_counts.record(
-            G.n == _cube_vertex_count(family, n) and is_connected(G), G, f"n={n}"
-        )
     c_brute = Check("closed-form-matches-brute-sw3")
-    for n in range(max_n + 1):
-        G = build(n)
-        c_brute.record(steiner_wiener(G, 3) == closed_sw3(n), G, f"n={n}")
     c_wiener = Check("wiener-closed-form-matches-bfs")
-    for n in range(wiener_lo, wiener_max_n + 1):
+    # One build per order; the two distance checks share one matrix, and
+    # the orders only counted never build adjacency tuples.
+    for n in range(max(21, max_n + 1, wiener_max_n + 1)):
         G = build(n)
-        c_wiener.record(wiener_index(G) == closed_w(n), G, f"n={n}")
+        if n <= 20:
+            c_counts.record(G.n == _cube_vertex_count(family, n) and is_connected(G), G, f"n={n}")
+        D = all_pairs_distances(G) if n <= max(max_n, wiener_max_n) else None
+        if n <= max_n:
+            c_brute.record(steiner_wiener(G, 3, dist=D) == closed_sw3(n), G, f"n={n}")
+        if wiener_lo <= n <= wiener_max_n:
+            c_wiener.record(wiener_index(G, dist=D) == closed_w(n), G, f"n={n}")
     c_pair = Check("double-sw3-equals-(count-2)-wiener")
     for n in range(wiener_lo, 21):
         count = _cube_vertex_count(family, n)
@@ -367,6 +368,8 @@ def _suite_bounds(
     _require_max_n(max_n, 3)
     if k_cap < 3:
         raise PreconditionError(f"--k-cap must be at least 3, got {k_cap}")
+    if min(k_cap, max_n) > K_MAX:  # a draw with n > K_MAX would reach k > K_MAX
+        raise PreconditionError(f"--k-cap {k_cap} and --max-n {max_n} both exceed {K_MAX}")
     started = time.perf_counter()
     rng = random.Random(seed)
     rows: dict[str, Check] = {}

@@ -116,6 +116,24 @@ def tree_steiner_distance(T: Graph, terminals) -> int:
     return sum(1 for v in order[1:] if 0 < below[v] < len(wanted))
 
 
+def bfs_connected(n: int, pairs) -> bool:
+    """Connectivity of the graph on 0..n-1 with the given edge pairs, by a
+    Python BFS over a dict of neighbour sets (no Graph involved)."""
+    if n <= 1:
+        return True
+    nbrs: dict[int, set[int]] = {v: set() for v in range(n)}
+    for u, v in pairs:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    seen = {0}
+    queue = [0]
+    for v in queue:
+        for w in nbrs[v] - seen:
+            seen.add(w)
+            queue.append(w)
+    return len(seen) == n
+
+
 def brute_cube(n: int, keep) -> Graph:
     """Subgraph of the n-cube induced by the strings x in 0..2^n-1 with
     keep(x), by a scan of all 2^n strings and their Hamming-distance-1

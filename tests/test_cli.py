@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import time
+from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -172,6 +174,50 @@ def test_k_above_the_terminal_cap_exit_code(capsys):
     assert code == 3
     assert "2..12" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("k,kernel", [(3, "_sw3"), (4, "_dreyfus_wagner")])
+def test_index_evaluates_sw_k_once(capsys, monkeypatch, k, kernel):
+    import swk.steiner as steiner_mod
+    from swk.graphs import fibonacci_cube
+
+    G = fibonacci_cube(4)
+    expected = steiner_mod.steiner_wiener(G, k)
+    calls = []
+    inner = getattr(steiner_mod, kernel)
+    monkeypatch.setattr(steiner_mod, kernel, lambda *a: calls.append(1) or inner(*a))
+    code, out, _ = run_cli(
+        capsys, "index", "--family", "fibonacci", "-n", "4", "-k", str(k), "--json"
+    )
+    assert code == 0
+    # one SW_3 scan, or one Dreyfus-Wagner run per k-subset
+    assert len(calls) == (1 if k == 3 else comb(G.n, k))
+    by_name = {r["name"]: r["exact"] for r in json.loads(out)["results"]}
+    assert by_name[f"steiner_wiener_k{k}"] == str(expected)
+    assert by_name[f"mean_steiner_k{k}"] == str(Fraction(expected, comb(G.n, k)))
+
+
+def test_verify_bounds_refuses_k_cap_and_max_n_above_the_subset_cap(capsys, monkeypatch):
+    import swk.verify as verify_mod
+
+    def no_draw(*_):
+        raise AssertionError("drew a graph")
+
+    monkeypatch.setattr(verify_mod, "random_connected", no_draw)
+    code, out, err = run_cli(capsys, "verify", "bounds", "--k-cap", "13", "--max-n", "13")
+    assert code == 3
+    assert "--k-cap 13 and --max-n 13 both exceed 12" in err
+    assert out == ""
+
+
+def test_verify_bounds_k_cap_above_the_subset_cap_runs_on_small_graphs(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "bounds", "--k-cap", "20", "--max-n", "10", "--count", "2",
+        "--json",
+    )
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert checks and all(c["holds"] for c in checks)
 
 
 @pytest.mark.parametrize(

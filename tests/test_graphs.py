@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import networkx as nx
@@ -35,7 +36,7 @@ from swk import (
 )
 from swk.generators import random_connected
 
-from conftest import brute_cube
+from conftest import bfs_connected, brute_cube
 
 
 @st.composite
@@ -389,3 +390,73 @@ def test_is_connected_cases():
     assert not is_connected(Graph(4, [(0, 1), (2, 3)]))
     assert is_connected(Graph(1, []))
     assert is_connected(Graph(0, []))
+
+
+def _slot_is_set(G: Graph, name: str) -> bool:
+    """Whether a slot holds a value, read past Graph.__getattr__."""
+    try:
+        object.__getattribute__(G, name)
+    except AttributeError:
+        return False
+    return True
+
+
+def test_is_connected_numpy_route_matches_python_bfs():
+    rng = random.Random(7301)
+    cases = [(0, []), (1, []), (2, []), (2, [(0, 1)]), (3, [(1, 2)]), (3, [(0, 1)]),
+             (4, [(0, 1), (2, 3)]), (5, [(0, 1), (1, 2), (2, 3)])]
+    for i in range(200):
+        G = random_connected(rng, 20, min_n=2)
+        pairs = list(G.edges())
+        if i % 2:
+            # drop every edge across a random proper vertex split
+            side = set(rng.sample(range(G.n), rng.randint(1, G.n - 1)))
+            pairs = [(u, v) for u, v in pairs if (u in side) == (v in side)]
+        cases.append((G.n, pairs))
+    outcomes = set()
+    for n, pairs in cases:
+        expected = bfs_connected(n, pairs)
+        from_array = Graph(n, np.array(pairs, dtype=np.int64).reshape(-1, 2))
+        assert from_array.indptr is not None
+        assert is_connected(from_array) == expected, (n, pairs)
+        assert is_connected(Graph(n, pairs)) == expected, (n, pairs)
+        outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize(
+    "build,lazy_labels",
+    [
+        (lambda: fibonacci_cube(20), True),
+        (lambda: lucas_cube(20), True),
+        (lambda: hypercube(14), True),
+        (lambda: parse_graph6(write_graph6(fibonacci_cube(12))), False),
+    ],
+    ids=["fibonacci20", "lucas20", "hypercube14", "graph6"],
+)
+def test_array_built_graph_builds_tuples_on_first_read(build, lazy_labels):
+    G = build()
+    assert is_connected(G)
+    assert not _slot_is_set(G, "adjacency")
+    assert _slot_is_set(G, "labels") != lazy_labels
+    adjacency = G.adjacency
+    assert _slot_is_set(G, "adjacency") and G.adjacency is adjacency
+    assert [len(a) for a in adjacency] == np.diff(G.indptr).tolist()
+    assert sum(map(len, adjacency)) == 2 * G.m
+    if lazy_labels:
+        assert len(G.labels) == G.n and _slot_is_set(G, "labels")
+
+
+def test_lazy_graphs_pickle():
+    for G in (fibonacci_cube(6), lucas_cube(0), parse_graph6("Dhc"), cycle_graph(5)):
+        copy = pickle.loads(pickle.dumps(G))
+        assert copy == G and copy.m == G.m and copy.labels == G.labels
+
+
+def test_pair_built_graph_fills_adjacency_at_once():
+    G = cycle_graph(5)
+    assert _slot_is_set(G, "adjacency") and _slot_is_set(G, "labels")
+    assert G.indptr is None and G.indices is None and G.labels is None
+    with pytest.raises(AttributeError, match="no attribute 'missing'"):
+        G.missing
+
