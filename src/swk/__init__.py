@@ -5,8 +5,9 @@ Conventions used across the package:
 
 * vertex subsets travel as int bitmasks (bit i = vertex i); helpers live
   in :mod:`swk.bitset`,
-* distance matrices are numpy int32 arrays from
-  :func:`swk.metric.all_pairs_distances`,
+* distance matrices are read-only numpy int32 arrays from
+  :func:`swk.metric.all_pairs_distances`, computed once per graph and kept
+  on it; functions that take a graph read its distances from there,
 * all counts are Python ints and all averages exact fractions.
 """
 

@@ -14,12 +14,10 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-import numpy as np
-
 from .bitset import mask_of
 from .errors import PreconditionError
 from .graphs import Graph, is_connected
-from .metric import all_pairs_distances, wiener_index
+from .metric import wiener_index
 
 
 @dataclass(frozen=True)
@@ -53,7 +51,8 @@ def block_decomposition(G: Graph) -> BlockDecomposition:
     timer = 0
     disc[0] = low[0] = timer
     timer += 1
-    call: list[tuple[int, object]] = [(0, iter(G.adjacency[0]))]
+    adjacency = G.adjacency
+    call: list[tuple[int, object]] = [(0, iter(adjacency[0]))]
     while call:
         v, it = call[-1]
         advanced = False
@@ -63,7 +62,7 @@ def block_decomposition(G: Graph) -> BlockDecomposition:
                 edge_stack.append((v, w))
                 disc[w] = low[w] = timer
                 timer += 1
-                call.append((w, iter(G.adjacency[w])))
+                call.append((w, iter(adjacency[w])))
                 if v == 0:
                     root_children += 1
                 advanced = True
@@ -139,7 +138,7 @@ def _component_sizes_without_block(
     G: Graph, decomp: BlockDecomposition, skip: int
 ) -> list[int]:
     # Deletes block edges virtually: the BFS just refuses to cross them.
-    boe = decomp.block_of_edge
+    boe, adjacency = decomp.block_of_edge, G.adjacency
     seen = bytearray(G.n)
     sizes = []
     for s0 in range(G.n):
@@ -151,7 +150,7 @@ def _component_sizes_without_block(
         while stack:
             v = stack.pop()
             count += 1
-            for w in G.adjacency[v]:
+            for w in adjacency[v]:
                 if not seen[w]:
                     key = (v, w) if v < w else (w, v)
                     if boe[key] == skip:
@@ -174,11 +173,7 @@ def nm_block_graph(G: Graph, decomp: BlockDecomposition | None = None) -> int:
     )
 
 
-def sw3_block_formula(
-    G: Graph,
-    decomp: BlockDecomposition | None = None,
-    dist: np.ndarray | None = None,
-) -> int:
+def sw3_block_formula(G: Graph, decomp: BlockDecomposition | None = None) -> int:
     """Twice the Steiner 3-Wiener index of a block graph:
     2*SW_3 = (n-2)*W + nm.  Returned doubled to stay integral."""
     if G.n < 3:
@@ -186,5 +181,4 @@ def sw3_block_formula(
     if decomp is None:
         decomp = block_decomposition(G)
     nm = nm_block_graph(G, decomp)
-    D = all_pairs_distances(G) if dist is None else dist
-    return (G.n - 2) * wiener_index(G, dist=D) + nm
+    return (G.n - 2) * wiener_index(G) + nm

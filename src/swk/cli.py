@@ -136,15 +136,15 @@ def cmd_index(args) -> Report:
     report.timing_ms["build"] = (time.perf_counter() - t0) * 1000.0
     k = args.k
     t0 = time.perf_counter()
-    D = all_pairs_distances(G)
+    all_pairs_distances(G)  # kept on G, so the stages below reuse it
     report.timing_ms["distances"] = (time.perf_counter() - t0) * 1000.0
     report.graph = _graph_summary(G)
     t0 = time.perf_counter()
-    report.add_result("wiener", wiener_index(G, dist=D))
-    sw = steiner_wiener(G, k, dist=D)
+    report.add_result("wiener", wiener_index(G))
+    sw = steiner_wiener(G, k)
     report.add_result(f"steiner_wiener_k{k}", sw)
     if G.n >= 2:
-        report.add_result("mean_distance", average_distance(G, dist=D))
+        report.add_result("mean_distance", average_distance(G))
     if G.n >= k:
         report.add_result(f"mean_steiner_k{k}", Fraction(sw, comb(G.n, k)))
     report.timing_ms["indices"] = (time.perf_counter() - t0) * 1000.0
@@ -157,12 +157,12 @@ def cmd_structure(args) -> Report:
     G = _load_graph(args)
     report.timing_ms["build"] = (time.perf_counter() - t0) * 1000.0
     t0 = time.perf_counter()
-    D = all_pairs_distances(G)
+    all_pairs_distances(G)  # kept on G, so the stages below reuse it
     report.timing_ms["distances"] = (time.perf_counter() - t0) * 1000.0
     report.graph = _graph_summary(G)
     t0 = time.perf_counter()
     if G.n >= 3:
-        cls = classify_triples(G, dist=D)
+        cls = classify_triples(G)
         report.add_flag("modular", cls.nonmodular == 0)
         report.add_flag("median", cls.nonmodular == 0 and cls.median_unique)
         report.add_result("triples", cls.total)
@@ -174,7 +174,7 @@ def cmd_structure(args) -> Report:
     report.add_flag("block_graph", block_graph)
     if block_graph and G.n >= 3:
         nm = nm_block_graph(G, decomp)
-        doubled = sw3_block_formula(G, decomp, dist=D)
+        doubled = sw3_block_formula(G, decomp)
         if doubled % 2:
             raise AssertionError("doubled block formula value is odd")
         report.add_result("nonmodular_triples_blockwise", nm)

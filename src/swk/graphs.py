@@ -42,11 +42,12 @@ class Graph:
     None.  An array is kept as CSR arrays: the sorted neighbours of v are
     ``indices[indptr[v]:indptr[v + 1]]``.  ``labels`` may be a function.
     ``__getattr__`` fills an unset ``adjacency``, ``adj_bits`` or ``labels``
-    slot on first read; Python calls it only when the normal lookup fails,
-    so hot loops reading the slots pay nothing for it.
+    slot on first read.  ``_dist`` holds the distance matrix once
+    :func:`swk.metric.all_pairs_distances` has computed it.
     """
 
-    __slots__ = ("n", "m", "adjacency", "adj_bits", "labels", "indptr", "indices", "_labels")
+    __slots__ = ("n", "m", "adjacency", "adj_bits", "labels", "indptr", "indices", "_labels",
+                 "_dist")
 
     def __init__(
         self,
@@ -77,6 +78,7 @@ class Graph:
             self.indptr = self.indices = None
         self.n = n
         self._labels = labels
+        self._dist = None
         if not callable(labels):
             self.labels = tuple(labels) if labels is not None else None
             if self.labels is not None and len(self.labels) != n:
@@ -184,13 +186,14 @@ def is_connected(G: Graph) -> bool:
             grown[G.indices[np.repeat(frontier, degrees)]] = True
             frontier, seen = grown & ~seen, grown
         return bool(seen.all())
+    adjacency = G.adjacency
     seen = bytearray(G.n)
     seen[0] = 1
     stack = [0]
     count = 1
     while stack:
         v = stack.pop()
-        for w in G.adjacency[v]:
+        for w in adjacency[v]:
             if not seen[w]:
                 seen[w] = 1
                 count += 1

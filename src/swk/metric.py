@@ -2,6 +2,8 @@
 
 Distance matrices are plain numpy int32 arrays (hop counts), materialized
 because the Steiner and structure layers look distances up n^3..n^4 times.
+A graph's matrix is computed once, kept on the graph and read-only, so the
+functions that take a graph all read the same matrix.
 All averages are exact fractions; floats never enter an equality check.
 """
 
@@ -26,74 +28,79 @@ _PLANE_WEIGHTS = 1 << np.arange(MATRIX_LIMIT.bit_length(), dtype=np.int32)
 
 
 def all_pairs_distances(G: Graph) -> np.ndarray:
-    """All-pairs hop distances as a symmetric (n, n) int32 array.
+    """All-pairs hop distances as a symmetric, read-only (n, n) int32 array.
 
-    Level-synchronous BFS from all sources at once on bitmasks over sources
-    (Then et al., PVLDB 8(4), 2014).  A vertex is done at the first level
-    that brings it nothing new, as its distance spheres are nonempty up to
-    its eccentricity; G is connected iff vertex 0 has then seen all sources.
-    Level d is ORed into bit plane j for each bit j of d.
+    The BFS runs on the first call for G; the array is kept on G, and every
+    later call returns that same array.  Level-synchronous BFS from all
+    sources at once on bitmasks over sources (Then et al., PVLDB 8(4),
+    2014).  A vertex is done at the first level that brings it nothing new,
+    as its distance spheres are nonempty up to its eccentricity; G is
+    connected iff vertex 0 has then seen all sources.  Level d is ORed into
+    bit plane j for each bit j of d.
     """
+    if G._dist is not None:
+        G._dist.flags.writeable = False  # copied or unpickled arrays come back writeable
+        return G._dist
     n = G.n
     if n > MATRIX_LIMIT:
         raise PreconditionError(f"distance matrix limited to {MATRIX_LIMIT} vertices")
-    if n <= 1:
-        return np.zeros((n, n), dtype=np.int32)
-    adjacency = G.adjacency
-    full = (1 << n) - 1
-    frontier = [1 << v for v in range(n)]
-    seen = frontier[:]
-    planes: list[list[int]] = []
-    active = range(n)
-    d = 0
-    while active:
-        d += 1
-        nxt = [0] * n
-        still = []
-        for v in active:
-            acc = 0
-            for u in adjacency[v]:
-                acc |= frontier[u]
-            sv = seen[v]
-            acc &= ~sv
-            if acc:
-                nxt[v] = acc
-                seen[v] = sv = sv | acc
-                if sv != full:
-                    still.append(v)
-        if d & (d - 1) == 0:
-            planes.append(nxt)  # d = 2^j opens plane j
-        else:
-            for j, plane in enumerate(planes):
-                if d >> j & 1:
-                    planes[j] = list(map(or_, plane, nxt))
-        active = still
-        frontier = nxt
-    if seen[0] != full:
-        raise PreconditionError("graph must be connected")
-    depth, nbytes = len(planes), (n + 7) // 8
-    rows = b"".join([row.to_bytes(nbytes, "little") for plane in planes for row in plane])
-    packed = np.frombuffer(rows, dtype=np.uint8).reshape(depth, n, nbytes)
-    out = np.empty((n, n), dtype=np.int32)
-    step = max(1, _UNPACK_BYTES // (depth * n))
-    for lo in range(0, n, step):
-        bits = np.unpackbits(packed[:, lo:lo + step], axis=2, count=n, bitorder="little")
-        block = out[lo:lo + step].reshape(-1)
-        np.matmul(_PLANE_WEIGHTS[:depth], bits.reshape(depth, -1), out=block)
+    out = np.zeros((n, n), dtype=np.int32)
+    if n > 1:
+        adjacency = G.adjacency
+        full = (1 << n) - 1
+        frontier = [1 << v for v in range(n)]
+        seen = frontier[:]
+        planes: list[list[int]] = []
+        active = range(n)
+        d = 0
+        while active:
+            d += 1
+            nxt = [0] * n
+            still = []
+            for v in active:
+                acc = 0
+                for u in adjacency[v]:
+                    acc |= frontier[u]
+                sv = seen[v]
+                acc &= ~sv
+                if acc:
+                    nxt[v] = acc
+                    seen[v] = sv = sv | acc
+                    if sv != full:
+                        still.append(v)
+            if d & (d - 1) == 0:
+                planes.append(nxt)  # d = 2^j opens plane j
+            else:
+                for j, plane in enumerate(planes):
+                    if d >> j & 1:
+                        planes[j] = list(map(or_, plane, nxt))
+            active = still
+            frontier = nxt
+        if seen[0] != full:
+            raise PreconditionError("graph must be connected")
+        depth, nbytes = len(planes), (n + 7) // 8
+        rows = b"".join([row.to_bytes(nbytes, "little") for plane in planes for row in plane])
+        packed = np.frombuffer(rows, dtype=np.uint8).reshape(depth, n, nbytes)
+        step = max(1, _UNPACK_BYTES // (depth * n))
+        for lo in range(0, n, step):
+            bits = np.unpackbits(packed[:, lo:lo + step], axis=2, count=n, bitorder="little")
+            block = out[lo:lo + step].reshape(-1)
+            np.matmul(_PLANE_WEIGHTS[:depth], bits.reshape(depth, -1), out=block)
+    out.flags.writeable = False
+    G._dist = out
     return out
 
 
-def wiener_index(G: Graph, dist: np.ndarray | None = None) -> int:
+def wiener_index(G: Graph) -> int:
     """Sum of hop distances over unordered vertex pairs."""
-    D = all_pairs_distances(G) if dist is None else dist
-    return int(D.sum(dtype=np.int64)) // 2
+    return int(all_pairs_distances(G).sum(dtype=np.int64)) // 2
 
 
-def average_distance(G: Graph, dist: np.ndarray | None = None) -> Fraction:
+def average_distance(G: Graph) -> Fraction:
     """Wiener index divided by C(n, 2), in lowest terms."""
     if G.n < 2:
         raise PreconditionError("average distance needs at least 2 vertices")
-    return Fraction(wiener_index(G, dist), comb(G.n, 2))
+    return Fraction(wiener_index(G), comb(G.n, 2))
 
 
 def interval(D: np.ndarray, u: int, v: int) -> int:

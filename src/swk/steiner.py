@@ -28,7 +28,7 @@ from .bitset import as_vertex_list, mask_of
 from .errors import PreconditionError
 from .graphs import Graph
 from .metric import all_pairs_distances, wiener_index
-from .structure import is_modular
+from .structure import _scan_guard, is_modular
 
 # Largest terminal set or k: the DP has 2^k * n states per subset.
 K_MAX = 12
@@ -139,9 +139,7 @@ def _dreyfus_wagner(D: np.ndarray, ids: list[int]) -> int:
     return int(dp[full - 1, ids[0]])
 
 
-def steiner_distance_dw(
-    G: Graph, terminals: int | Iterable[int], dist: np.ndarray | None = None
-) -> int:
+def steiner_distance_dw(G: Graph, terminals: int | Iterable[int]) -> int:
     """Exact d(S) via the Dreyfus-Wagner subset dynamic program.
 
     Agrees with the pairwise distance at |S| = 2 and with
@@ -155,7 +153,7 @@ def steiner_distance_dw(
         raise PreconditionError(f"terminal set too large ({len(ids)} > {K_MAX})")
     if len(ids) == 1:
         return 0
-    D = all_pairs_distances(G) if dist is None else dist
+    D = all_pairs_distances(G)
     if len(ids) == 2:
         return int(D[ids[0], ids[1]])
     return _dreyfus_wagner(D, ids)
@@ -183,19 +181,23 @@ def _sw3(D: np.ndarray) -> int:
     return total
 
 
-def steiner_wiener(G: Graph, k: int, dist: np.ndarray | None = None) -> int:
+def steiner_wiener(G: Graph, k: int) -> int:
     """Sum of d(S) over all k-element vertex subsets.
 
     k = 2 reproduces the Wiener index; k = 3 runs the median-candidate
-    scan; larger k runs the Dreyfus-Wagner program once per k-subset.
-    When k exceeds the vertex count there are no k-subsets and the sum is 0.
+    scan, on at most ``structure.MAX_TRIPLE_N`` vertices like the triple
+    classification; larger k runs the Dreyfus-Wagner program once per
+    k-subset.  When k exceeds the vertex count there are no k-subsets and
+    the sum is 0.
     """
     if k < 2 or k > K_MAX:
         raise PreconditionError(f"k must be in 2..{K_MAX}")
     n = G.n
     if k > n:
         return 0
-    D = all_pairs_distances(G) if dist is None else dist
+    if k == 3:
+        _scan_guard(n)
+    D = all_pairs_distances(G)
     if k == 2:
         return int(D.sum(dtype=np.int64)) // 2
     if k == 3:
@@ -203,11 +205,11 @@ def steiner_wiener(G: Graph, k: int, dist: np.ndarray | None = None) -> int:
     return sum(_dreyfus_wagner(D, list(S)) for S in combinations(range(n), k))
 
 
-def mean_steiner(G: Graph, k: int, dist: np.ndarray | None = None) -> Fraction:
+def mean_steiner(G: Graph, k: int) -> Fraction:
     """Average Steiner distance over k-subsets: SW_k / C(n, k), exact."""
     if k > G.n:
         raise PreconditionError("k exceeds the vertex count")
-    return Fraction(steiner_wiener(G, k, dist=dist), comb(G.n, k))
+    return Fraction(steiner_wiener(G, k), comb(G.n, k))
 
 
 def jiang_f(k: int) -> Fraction:
@@ -245,10 +247,7 @@ def _cmp(name: str, left: Fraction, relation: str, right: Fraction,
     return BoundCheck(name, left, relation, right, holds, status)
 
 
-def check_bounds(
-    G: Graph, k: int, dist: np.ndarray | None = None,
-    mu_cache: dict[int, Fraction] | None = None,
-) -> BoundsReport:
+def check_bounds(G: Graph, k: int, mu_cache: dict[int, Fraction] | None = None) -> BoundsReport:
     """Evaluate the classical mean-Steiner-distance inequalities exactly.
 
     Relations checked for 3 <= k <= n:
@@ -266,12 +265,11 @@ def check_bounds(
     n = G.n
     if k < 3 or k > min(n, K_MAX):
         raise PreconditionError(f"k must be in 3..min(n, {K_MAX})")
-    D = all_pairs_distances(G) if dist is None else dist
     cache = mu_cache if mu_cache is not None else {}
 
     def mu(j: int) -> Fraction:
         if j not in cache:
-            cache[j] = mean_steiner(G, j, dist=D)
+            cache[j] = mean_steiner(G, j)
         return cache[j]
 
     mu_k = mu(k)
@@ -313,15 +311,12 @@ class ModularBoundResult:
     equality: bool
 
 
-def check_sw3_modular_bound(
-    G: Graph, dist: np.ndarray | None = None
-) -> ModularBoundResult:
+def check_sw3_modular_bound(G: Graph) -> ModularBoundResult:
     """Compare 2*SW_3(G) with (n-2)*W(G); the former is never smaller."""
     if G.n < 3:
         raise PreconditionError("needs at least 3 vertices")
-    D = all_pairs_distances(G) if dist is None else dist
-    twice_sw3 = 2 * steiner_wiener(G, 3, dist=D)
-    scaled = (G.n - 2) * wiener_index(G, dist=D)
+    twice_sw3 = 2 * steiner_wiener(G, 3)
+    scaled = (G.n - 2) * wiener_index(G)
     return ModularBoundResult(twice_sw3, scaled, twice_sw3 == scaled)
 
 
@@ -333,18 +328,14 @@ def sw3_product_modular(G: Graph, H: Graph) -> int:
         (|V(G)||V(H)| - 2)/2 * (|V(G)|^2 W(H) + |V(H)|^2 W(G))
 
     Factors with at most ``_PRODUCT_CHECK_N`` vertices are re-checked for
-    modularity; a non-modular factor is rejected.  Each factor's distance
-    matrix is computed once and serves both its check and its W.
+    modularity; a non-modular factor is rejected.
     """
     if G.n == 0 or H.n == 0:
         raise PreconditionError("product factors must be nonempty")
-    wiener = []
     for name, factor in (("first", G), ("second", H)):
-        D = all_pairs_distances(factor)
-        if factor.n <= _PRODUCT_CHECK_N and not is_modular(factor, dist=D):
+        if factor.n <= _PRODUCT_CHECK_N and not is_modular(factor):
             raise PreconditionError(f"{name} factor is not modular")
-        wiener.append(wiener_index(factor, dist=D))
-    w_g, w_h = wiener
+    w_g, w_h = wiener_index(G), wiener_index(H)
     num = (G.n * H.n - 2) * (G.n * G.n * w_h + H.n * H.n * w_g)
     if num % 2:
         raise AssertionError("product sw3 numerator not even; modularity violated?")

@@ -66,7 +66,7 @@ def _interval_words(D: np.ndarray) -> np.ndarray:
     return out
 
 
-def _median_counts(G: Graph, dist: np.ndarray | None) -> Iterator[np.ndarray]:
+def _median_counts(G: Graph) -> Iterator[np.ndarray]:
     """Median-set sizes |I(a,b) & I(a,c) & I(b,c)| of all triples a < b < c:
     per middle vertex b, blocks of about _BLOCK words (at least one a) with
     rows a < b and columns c > b.  Consumers may stop early."""
@@ -74,8 +74,7 @@ def _median_counts(G: Graph, dist: np.ndarray | None) -> Iterator[np.ndarray]:
     if n < 3:
         return
     _scan_guard(n)
-    D = all_pairs_distances(G) if dist is None else dist
-    I = _interval_words(D)
+    I = _interval_words(all_pairs_distances(G))
     for b in range(1, n - 1):
         step = max(1, _BLOCK // (I.shape[0] * (n - b - 1)))
         for lo in range(0, b, step):
@@ -87,27 +86,27 @@ def _median_counts(G: Graph, dist: np.ndarray | None) -> Iterator[np.ndarray]:
             yield np.bitwise_count(M).sum(axis=0, dtype=np.int16)
 
 
-def classify_triples(G: Graph, dist: np.ndarray | None = None) -> TripleClassification:
+def classify_triples(G: Graph) -> TripleClassification:
     """Count modular and non-modular 3-sets over all C(n, 3) triples, and
     whether every modular triple has exactly one median."""
     if G.n < 3:
         raise PreconditionError("triple classification needs at least 3 vertices")
     modular, unique = 0, True
-    for counts in _median_counts(G, dist):
+    for counts in _median_counts(G):
         modular += int(np.count_nonzero(counts))
         unique = unique and int(counts.max()) <= 1
     total = comb(G.n, 3)
     return TripleClassification(total, modular, total - modular, unique)
 
 
-def is_modular(G: Graph, dist: np.ndarray | None = None) -> bool:
+def is_modular(G: Graph) -> bool:
     """True iff every vertex triple has a median; stops at the first failing block."""
-    return all(counts.all() for counts in _median_counts(G, dist))
+    return all(counts.all() for counts in _median_counts(G))
 
 
-def is_median(G: Graph, dist: np.ndarray | None = None) -> bool:
+def is_median(G: Graph) -> bool:
     """True iff every vertex triple has exactly one median."""
-    return all((counts == 1).all() for counts in _median_counts(G, dist))
+    return all((counts == 1).all() for counts in _median_counts(G))
 
 
 def steiner_via_2intersection(

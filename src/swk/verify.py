@@ -140,13 +140,12 @@ def _suite_trees(*, count: int = 200, max_n: int = 12, seed: int = 42, **_) -> R
     c_block = Check("tree-block-formula-agrees")
     for _ in range(count):
         T = random_tree(rng.randint(3, max_n), rng)
-        D = all_pairs_distances(T)
-        w = wiener_index(T, dist=D)
-        s3 = steiner_wiener(T, 3, dist=D)
+        w = wiener_index(T)
+        s3 = steiner_wiener(T, 3)
         c_ident.record(2 * s3 == (T.n - 2) * w, T)
-        cls = classify_triples(T, dist=D)
+        cls = classify_triples(T)
         c_median.record(cls.nonmodular == 0 and cls.median_unique, T)
-        c_block.record(sw3_block_formula(T, dist=D) == 2 * s3, T)
+        c_block.record(sw3_block_formula(T) == 2 * s3, T)
     return _finish(Report(), [c_ident, c_median, c_block], started)
 
 
@@ -181,9 +180,8 @@ def _suite_modular_bound(
         if G.n < 3 or not is_connected(G):
             skipped += 1
             continue
-        D = all_pairs_distances(G)
-        result = check_sw3_modular_bound(G, dist=D)
-        modular = is_modular(G, dist=D)
+        result = check_sw3_modular_bound(G)
+        modular = is_modular(G)
         modular_seen += modular
         nonmodular_seen += not modular
         c_lower.record(result.twice_sw3 >= result.scaled_wiener, G)
@@ -250,13 +248,12 @@ def _suite_block_graphs(
     c_pm = Check("pseudo-median-triples")
     for _ in range(count):
         G = random_block_graph(rng, max_n)
-        D = all_pairs_distances(G)
         decomp = block_decomposition(G)
-        s3 = steiner_wiener(G, 3, dist=D)
-        cls = classify_triples(G, dist=D)
-        c_formula.record(sw3_block_formula(G, decomp, dist=D) == 2 * s3, G)
+        s3 = steiner_wiener(G, 3)
+        cls = classify_triples(G)
+        c_formula.record(sw3_block_formula(G, decomp) == 2 * s3, G)
         c_nm.record(nm_block_graph(G, decomp) == cls.nonmodular, G)
-        ok_half, ok_pm = _median_free_checks(D)
+        ok_half, ok_pm = _median_free_checks(all_pairs_distances(G))
         c_half.record(ok_half, G)
         c_pm.record(ok_pm, G)
     return _finish(Report(), [c_formula, c_nm, c_half, c_pm], started)
@@ -282,11 +279,8 @@ def _suite_products(*, max_size: int = 200, **_) -> Report:
     c_frac = Check("product-fractional-form-identity")
     c_mod = Check("product-of-modular-is-modular")
     factors = _product_factors()
-    # W and SW_3 of each factor, from one distance matrix per factor
-    indices: dict[str, tuple[int, int]] = {}
-    for name, F in factors:
-        D = all_pairs_distances(F)
-        indices[name] = (wiener_index(F, dist=D), steiner_wiener(F, 3, dist=D))
+    # W and SW_3 of each factor, computed once
+    indices = {name: (wiener_index(F), steiner_wiener(F, 3)) for name, F in factors}
     for i, (name_a, A) in enumerate(factors):
         w_a, s3_a = indices[name_a]
         for name_b, B in factors[i:]:
@@ -294,12 +288,11 @@ def _suite_products(*, max_size: int = 200, **_) -> Report:
                 continue
             w_b, s3_b = indices[name_b]
             P = cartesian_product(A, B)
-            D = all_pairs_distances(P)
             detail = f"{name_a} x {name_b}"
             formula = sw3_product_modular(A, B)
-            brute = steiner_wiener(P, 3, dist=D)
+            brute = steiner_wiener(P, 3)
             c_sw3.record(formula == brute, P, detail)
-            wp = wiener_index(P, dist=D)
+            wp = wiener_index(P)
             c_w.record(wp == A.n**2 * w_b + B.n**2 * w_a, P, detail)
             if A.n > 2 and B.n > 2:
                 fractional = (A.n * B.n - 2) * (
@@ -307,7 +300,7 @@ def _suite_products(*, max_size: int = 200, **_) -> Report:
                 )
                 c_frac.record(fractional == formula, P, detail)
             if P.n <= 100:
-                c_mod.record(is_modular(P, dist=D), P, detail)
+                c_mod.record(is_modular(P), P, detail)
     return _finish(Report(), [c_sw3, c_w, c_frac, c_mod], started)
 
 
@@ -337,17 +330,15 @@ def _suite_cubes(family: str, *, max_n: int = 10, wiener_max_n: int = 14, **_) -
     c_counts = Check("vertex-count-matches-number-sequence")
     c_brute = Check("closed-form-matches-brute-sw3")
     c_wiener = Check("wiener-closed-form-matches-bfs")
-    # One build per order; the two distance checks share one matrix, and
-    # the orders only counted never build adjacency tuples.
+    # One build per order; the orders only counted never build adjacency tuples.
     for n in range(max(21, max_n + 1, wiener_max_n + 1)):
         G = build(n)
         if n <= 20:
             c_counts.record(G.n == _cube_vertex_count(family, n) and is_connected(G), G, f"n={n}")
-        D = all_pairs_distances(G) if n <= max(max_n, wiener_max_n) else None
         if n <= max_n:
-            c_brute.record(steiner_wiener(G, 3, dist=D) == closed_sw3(n), G, f"n={n}")
+            c_brute.record(steiner_wiener(G, 3) == closed_sw3(n), G, f"n={n}")
         if wiener_lo <= n <= wiener_max_n:
-            c_wiener.record(wiener_index(G, dist=D) == closed_w(n), G, f"n={n}")
+            c_wiener.record(wiener_index(G) == closed_w(n), G, f"n={n}")
     c_pair = Check("double-sw3-equals-(count-2)-wiener")
     for n in range(wiener_lo, 21):
         count = _cube_vertex_count(family, n)
@@ -375,10 +366,9 @@ def _suite_bounds(
     rows: dict[str, Check] = {}
     for _ in range(count):
         G = random_connected(rng, max_n)
-        D = all_pairs_distances(G)
         cache: dict[int, Fraction] = {}
         for k in range(3, min(k_cap, G.n) + 1):
-            bounds = check_bounds(G, k, dist=D, mu_cache=cache)
+            bounds = check_bounds(G, k, mu_cache=cache)
             for chk in bounds.checks:
                 row = rows.get(chk.name)
                 if row is None:
@@ -407,9 +397,7 @@ def _suite_steiner_oracle(
         ok = True
         for a, b, c in combinations(range(G.n), 3):
             s3 = steiner_distance_3(D, a, b, c)
-            if s3 != steiner_distance_dw(
-                G, (a, b, c), dist=D
-            ) or s3 != steiner_distance_oracle(G, (a, b, c)):
+            if not s3 == steiner_distance_dw(G, (a, b, c)) == steiner_distance_oracle(G, (a, b, c)):
                 ok = False
                 break
         c_triples.record(ok, G)

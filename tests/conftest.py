@@ -7,6 +7,8 @@ so that agreement means something.
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
 import random
 from collections.abc import Iterator
 from itertools import combinations, permutations
@@ -14,6 +16,7 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import strategies as st
 
+import swk
 from swk.generators import (
     curated_modular,
     curated_nonmodular,
@@ -60,6 +63,33 @@ def small_corpus() -> list[Graph]:
     graphs += [random_tree(rng.randint(3, 9), rng) for _ in range(15)]
     assert all(g.n <= 9 for g in graphs)
     return graphs
+
+
+@pytest.fixture
+def apsp_calls(monkeypatch) -> list:
+    """(graph, returned matrix) per call of ``all_pairs_distances``, wrapped
+    in every swk module that binds it.  A call that runs the BFS returns an
+    array no earlier call returned; see :func:`bfs_runs`."""
+    original = swk.metric.all_pairs_distances
+    calls = []
+
+    def recording(G):
+        D = original(G)
+        calls.append((G, D))
+        return D
+
+    modules = [swk] + [importlib.import_module(f"swk.{m.name}")
+                       for m in pkgutil.iter_modules(swk.__path__)]
+    for module in modules:
+        if getattr(module, "all_pairs_distances", None) is original:
+            monkeypatch.setattr(module, "all_pairs_distances", recording)
+    return calls
+
+
+def bfs_runs(calls) -> list:
+    """The distinct matrices among recorded calls: one per BFS run, since
+    the recorded pairs keep every returned array alive."""
+    return list({id(D): D for _, D in calls}.values())
 
 
 def brute_interval(G: Graph, D, u: int, v: int) -> set[int]:

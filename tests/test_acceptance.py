@@ -98,9 +98,8 @@ def test_acceptance_4_modular_equality_both_directions():
     for g in graphs:
         if g.n < 3:
             continue
-        D = all_pairs_distances(g)
-        res = check_sw3_modular_bound(g, dist=D)
-        mod = is_modular(g, dist=D)
+        res = check_sw3_modular_bound(g)
+        mod = is_modular(g)
         modular_seen += mod
         nonmodular_seen += not mod
         if res.twice_sw3 < res.scaled_wiener or res.equality != mod:
@@ -123,11 +122,10 @@ def test_acceptance_5_block_graph_formulas():
     for _ in range(1000):
         g = random_block_graph(rng, 12)
         decomp = block_decomposition(g)
-        D = all_pairs_distances(g)
-        if sw3_block_formula(g, decomp, dist=D) != 2 * steiner_wiener(g, 3, dist=D):
+        if sw3_block_formula(g, decomp) != 2 * steiner_wiener(g, 3):
             ok = False
             break
-        if nm_block_graph(g, decomp) != classify_triples(g, dist=D).nonmodular:
+        if nm_block_graph(g, decomp) != classify_triples(g).nonmodular:
             ok = False
             break
     _report(5, "block formula and blockwise nm on 1000 random block graphs", ok, started)
@@ -162,7 +160,7 @@ def test_acceptance_7_oracle_triangle():
         D = all_pairs_distances(g)
         for a, b, c in combinations(range(g.n), 3):
             s3 = steiner_distance_3(D, a, b, c)
-            if s3 != steiner_distance_dw(g, (a, b, c), dist=D):
+            if s3 != steiner_distance_dw(g, (a, b, c)):
                 ok = False
                 break
             if s3 != steiner_distance_oracle(g, (a, b, c)):

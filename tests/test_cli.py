@@ -176,6 +176,16 @@ def test_k_above_the_terminal_cap_exit_code(capsys):
     assert out == ""
 
 
+def test_sw3_above_the_triple_scan_limit_exit_code(capsys, monkeypatch):
+    import swk.steiner as steiner_mod
+
+    monkeypatch.setattr(steiner_mod, "_sw3", lambda D: pytest.fail("SW_3 scan started"))
+    code, out, err = run_cli(capsys, "index", "--family", "hypercube", "-n", "10", "-k", "3")
+    assert code == 3
+    assert "limited to 512 vertices" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("k,kernel", [(3, "_sw3"), (4, "_dreyfus_wagner")])
 def test_index_evaluates_sw_k_once(capsys, monkeypatch, k, kernel):
     import swk.steiner as steiner_mod

@@ -2,13 +2,9 @@
 
 from __future__ import annotations
 
-import importlib
-import pkgutil
 from fractions import Fraction
 
 import pytest
-
-import swk
 
 from swk import (
     PreconditionError,
@@ -31,6 +27,8 @@ from swk import (
     wiener_index,
     wiener_lucas_closed,
 )
+
+from conftest import bfs_runs
 
 FIB_SW3 = (0, 0, 2, 24, 162, 968, 5206, 26672, 131652, 634752, 3006708)
 LUC_SW3 = (0, 0, 2, 9, 100, 540, 3120, 15876, 79560, 384615, 1830730)
@@ -93,21 +91,9 @@ def test_product_sw3_p2_p2():
     assert sw3_product_modular(path_graph(2), path_graph(2)) == 8
 
 
-def test_product_sw3_computes_one_distance_matrix_per_factor(monkeypatch):
-    original = swk.metric.all_pairs_distances
-    calls = []
-
-    def counting(G):
-        calls.append(G.n)
-        return original(G)
-
-    modules = [swk] + [importlib.import_module(f"swk.{m.name}")
-                       for m in pkgutil.iter_modules(swk.__path__)]
-    for module in modules:
-        if getattr(module, "all_pairs_distances", None) is original:
-            monkeypatch.setattr(module, "all_pairs_distances", counting)
+def test_product_sw3_computes_one_distance_matrix_per_factor(apsp_calls):
     assert sw3_product_modular(cycle_graph(4), hypercube(3)) == 19200  # C4 x Q3 = Q5
-    assert sorted(calls) == [4, 8]
+    assert sorted(D.shape[0] for D in bfs_runs(apsp_calls)) == [4, 8]
 
 
 def test_product_sw3_identity_factor():

@@ -16,6 +16,7 @@ from swk import (
     Graph,
     ParseError,
     PreconditionError,
+    all_pairs_distances,
     cartesian_product,
     complete_bipartite_graph,
     complete_graph,
@@ -451,6 +452,11 @@ def test_lazy_graphs_pickle():
     for G in (fibonacci_cube(6), lucas_cube(0), parse_graph6("Dhc"), cycle_graph(5)):
         copy = pickle.loads(pickle.dumps(G))
         assert copy == G and copy.m == G.m and copy.labels == G.labels
+        all_pairs_distances(G)
+        copy = pickle.loads(pickle.dumps(G))
+        D = all_pairs_distances(copy)
+        assert all_pairs_distances(copy) is D and not D.flags.writeable
+        assert np.array_equal(D, all_pairs_distances(Graph(G.n, G.edges())))
 
 
 def test_pair_built_graph_fills_adjacency_at_once():

@@ -49,6 +49,17 @@ def test_distances_fibonacci_cube_hamming_pair():
     assert D[u, v] == 4
 
 
+def test_distances_are_computed_once_and_read_only(apsp_calls):
+    for G in (path_graph(1), cycle_graph(6), fibonacci_cube(7)):
+        D = all_pairs_distances(G)
+        assert all_pairs_distances(G) is D
+        assert wiener_index(G) == int(D.sum()) // 2
+        graph, matrix = apsp_calls[-1]  # wiener_index's own call
+        assert graph is G and matrix is D
+        with pytest.raises(ValueError, match="read-only"):
+            D[0, 0] = 1
+
+
 def test_distances_require_connected():
     with pytest.raises(PreconditionError, match="connected"):
         all_pairs_distances(Graph(4, [(0, 1), (2, 3)]))

@@ -130,7 +130,7 @@ def test_three_routes_agree_on_triples(small_corpus):
         D = all_pairs_distances(g)
         for a, b, c in combinations(range(g.n), 3):
             s3 = steiner_distance_3(D, a, b, c)
-            assert s3 == steiner_distance_dw(g, [a, b, c], dist=D)
+            assert s3 == steiner_distance_dw(g, [a, b, c])
             assert s3 == steiner_distance_oracle(g, [a, b, c])
 
 
@@ -163,7 +163,7 @@ def test_triple_routes_property(g):
     D = all_pairs_distances(g)
     for a, b, c in combinations(range(g.n), 3):
         s3 = steiner_distance_3(D, a, b, c)
-        assert s3 == steiner_distance_dw(g, [a, b, c], dist=D)
+        assert s3 == steiner_distance_dw(g, [a, b, c])
         assert s3 == steiner_distance_oracle(g, [a, b, c])
 
 
@@ -201,7 +201,7 @@ def test_dw_against_independent_references_on_large_graphs():
     D = all_pairs_distances(g)
     for _ in range(25):
         a, b, c = rng.sample(range(g.n), 3)
-        assert steiner_distance_dw(g, (a, b, c), dist=D) == steiner_distance_3(D, a, b, c)
+        assert steiner_distance_dw(g, (a, b, c)) == steiner_distance_3(D, a, b, c)
     for _ in range(25):
         t = random_tree(rng.randint(90, 100), rng)
         ids = rng.sample(range(t.n), rng.randint(4, 6))
@@ -262,6 +262,13 @@ def test_sw_k_range_checks():
         steiner_wiener(g, 13)
     assert steiner_wiener(g, 5) == 4  # the whole path
     assert steiner_wiener(path_graph(2), 3) == 0  # no 3-subsets
+
+
+def test_sw3_refuses_graphs_above_the_triple_scan_limit(apsp_calls):
+    for g in (path_graph(513), hypercube(10)):
+        with pytest.raises(PreconditionError, match="limited to 512 vertices"):
+            steiner_wiener(g, 3)
+    assert apsp_calls == []  # refused before any distance is computed
 
 
 # -- mean Steiner distance --------------------------------------------------------

@@ -115,7 +115,7 @@ def test_classification_counts_match_per_triple_scan(small_corpus):
             for a, b, c in combinations(range(g.n), 3)
             if median_set(D, a, b, c)
         )
-        cls = classify_triples(g, dist=D)
+        cls = classify_triples(g)
         assert cls.modular == modular
         assert cls.nonmodular == cls.total - modular
 
@@ -189,10 +189,9 @@ def test_modular_iff_sw3_bound_equality_exhaustive_small():
     checked = 0
     for n in range(3, 7):
         for g in enumerate_connected_graphs(n):
-            D = all_pairs_distances(g)
-            res = check_sw3_modular_bound(g, dist=D)
+            res = check_sw3_modular_bound(g)
             assert res.twice_sw3 >= res.scaled_wiener
-            assert res.equality == is_modular(g, dist=D)
+            assert res.equality == is_modular(g)
             checked += 1
     assert checked > 20_000
 

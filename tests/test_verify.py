@@ -23,7 +23,7 @@ from swk.generators import paw_graph, random_block_graph, random_connected
 from swk.graphs import Graph
 from swk.verify import _median_free_checks, run_suite
 
-from conftest import walk_half_perimeter, walk_pseudo_median
+from conftest import bfs_runs, walk_half_perimeter, walk_pseudo_median
 
 
 def _reference(G: Graph, D) -> tuple[bool, bool]:
@@ -128,3 +128,11 @@ def test_cube_suite_counts_orders_without_building_tuples(monkeypatch, family):
     assert max(built) == order_12
     assert len(built) == len(set(built)) == (12 if family == "fibonacci" else 11)
 
+
+def test_products_suite_runs_one_bfs_per_graph(apsp_calls):
+    report = run_suite("products", max_size=10)
+    assert report.ok() and [c["instances"] for c in report.checks] == [45, 45, 6, 45]
+    graphs = {id(G) for G, _ in apsp_calls}
+    assert len(graphs) == 16 + 45  # the factors and the products
+    assert len(bfs_runs(apsp_calls)) == len(graphs)
+    assert len({(id(G), id(D)) for G, D in apsp_calls}) == len(graphs)
