@@ -16,11 +16,12 @@ import argparse
 import sys
 import time
 from fractions import Fraction
+from functools import cache
 from math import comb
 from pathlib import Path
 
 from .bitset import bit_list
-from .blocks import block_decomposition, is_block_graph, nm_block_graph, sw3_block_formula
+from .blocks import block_decomposition, nm_block_graph
 from .errors import ParseError, PreconditionError
 from .graphs import (
     FAMILY_NAMES,
@@ -39,7 +40,10 @@ from .verify import SUITE_NAMES, run_suite
 _FAMILY_ALIASES = {"fibonacci": "fibonacci_cube", "lucas": "lucas_cube"}
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: a build costs about 1 ms,
+    as much as a whole small ``swk index`` call."""
     parser = argparse.ArgumentParser(
         prog="swk",
         description="Exact Steiner distances, Steiner k-Wiener indices, and "
@@ -170,11 +174,13 @@ def cmd_structure(args) -> Report:
     decomp = block_decomposition(G)
     report.add_result("blocks", len(decomp.blocks))
     report.add_result("cut_vertices", len(bit_list(decomp.cut_vertices)))
-    block_graph = is_block_graph(G, decomp)
-    report.add_flag("block_graph", block_graph)
-    if block_graph and G.n >= 3:
-        nm = nm_block_graph(G, decomp)
-        doubled = sw3_block_formula(G, decomp)
+    try:
+        nm = nm_block_graph(G, decomp)  # refuses a graph with a non-clique block
+    except PreconditionError:
+        nm = None
+    report.add_flag("block_graph", nm is not None)
+    if nm is not None and G.n >= 3:
+        doubled = (G.n - 2) * wiener_index(G) + nm  # 2*SW_3, as in blocks.sw3_block_formula
         if doubled % 2:
             raise AssertionError("doubled block formula value is odd")
         report.add_result("nonmodular_triples_blockwise", nm)

@@ -2,13 +2,14 @@
 
 Graphs are simple, finite, undirected, with dense vertex ids 0..n-1.
 Instances are immutable after construction and safe to share read-only.
-The small builders and the edge-list parser hand :class:`Graph` Python
-pairs, which become sorted adjacency tuples at once: on graphs of about ten
-vertices that loop is several times cheaper than the numpy calls' fixed
-cost.  The producers of large graphs (the hypercube, Fibonacci and Lucas
-cube builders and the graph6 decoder) hand it an (m, 2) numpy edge array,
-which it keeps as CSR arrays; their adjacency tuples, the cube labels and
-every graph's neighbor bitmasks are built on first use.
+The small builders hand :class:`Graph` Python pairs, which become sorted
+adjacency tuples at once: on graphs of about ten vertices that loop is
+several times cheaper than the numpy calls' fixed cost.  The producers of
+large graphs and the parsers (the hypercube, Fibonacci and Lucas cube
+builders, the edge-list parser and the graph6 decoder) hand it an (m, 2)
+numpy edge array, which it keeps as CSR arrays; connectivity and distances
+are searched over those arrays in numpy, and their adjacency tuples, the
+cube labels and every graph's neighbor bitmasks are built on first use.
 """
 
 from __future__ import annotations
@@ -212,15 +213,14 @@ def _int_token(token: str, lineno: int) -> int:
 
 
 def parse_edgelist(text: str) -> Graph:
-    """Parse an edge list: one "u v" pair per line.
+    """Parse an edge list: one "u v" pair per line, into an array-built graph.
 
     '#' starts a comment, blank lines are skipped, and an optional first
-    line "n <count>" pins the vertex count.  Duplicate edges collapse;
-    self-loops are rejected with their line number.
+    line "n <count>" pins the vertex count, at most ``DEFAULT_VERTEX_CAP``.
+    Duplicate edges collapse; self-loops are rejected with their line number.
     """
     declared: int | None = None
-    edges: list[tuple[int, int]] = []
-    max_id = -1
+    ids: list[int] = []
     first = True
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -238,20 +238,27 @@ def parse_edgelist(text: str) -> Graph:
         first = False
         if len(tokens) != 2:
             raise ParseError(f"line {lineno}: expected 'u v', got {line!r}")
-        u = _int_token(tokens[0], lineno)
-        v = _int_token(tokens[1], lineno)
+        try:
+            u, v = int(tokens[0]), int(tokens[1])
+        except ValueError:
+            for token in tokens:  # name the first token that is not an integer
+                _int_token(token, lineno)
+            raise
         if u < 0 or v < 0:
             raise ParseError(f"line {lineno}: negative vertex id")
         if u == v:
             raise ParseError(f"line {lineno}: self-loop at vertex {u}")
-        edges.append((u, v))
-        max_id = max(max_id, u, v)
+        ids.append(u)
+        ids.append(v)
+    max_id = max(ids, default=-1)
     if declared is not None and max_id >= declared:
         raise ParseError(
             f"declared vertex count {declared} but vertex id {max_id} appears"
         )
     n = declared if declared is not None else max_id + 1
-    return Graph(n, edges)
+    if n > DEFAULT_VERTEX_CAP:
+        raise ParseError(f"edge list has {n} vertices (cap {DEFAULT_VERTEX_CAP})")
+    return Graph(n, np.array(ids, dtype=np.int64).reshape(-1, 2))
 
 
 # -- graph6 byte format ------------------------------------------------------

@@ -330,7 +330,7 @@ def _suite_cubes(family: str, *, max_n: int = 10, wiener_max_n: int = 14, **_) -
     c_counts = Check("vertex-count-matches-number-sequence")
     c_brute = Check("closed-form-matches-brute-sw3")
     c_wiener = Check("wiener-closed-form-matches-bfs")
-    # One build per order; the orders only counted never build adjacency tuples.
+    # One build per order; no order builds adjacency tuples, as the BFS reads CSR arrays.
     for n in range(max(21, max_n + 1, wiener_max_n + 1)):
         G = build(n)
         if n <= 20:

@@ -379,3 +379,101 @@ def test_stdin_input(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "index", "--input", "-", "-k", "2")
     assert code == 0
     assert "wiener = 10" in out
+
+
+def _without_timings(out: str):
+    report = json.loads(out)
+    report.pop("timing_ms")
+    return report
+
+
+def _three_calls(capsys):
+    """index, a call that fails to parse, then verify with its default --seed."""
+    results = []
+    for argv in (
+        ["index", "--family", "fibonacci", "-n", "5", "-k", "3", "--json"],
+        ["index", "--family", "path", "-n", "5", "-k", "two"],
+        ["verify", "modular-bound", "--count", "5", "--max-n", "7", "--json"],
+    ):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        out = _without_timings(captured.out) if captured.out else ""
+        results.append((code, out, captured.err))
+    return results
+
+
+def test_cached_parser_gives_the_outputs_of_fresh_parsers(capsys, monkeypatch):
+    import swk.cli as cli_mod
+
+    cached = _three_calls(capsys)
+    assert [code for code, _, _ in cached] == [0, 2, 0]
+    assert "invalid int value: 'two'" in cached[1][2]
+    assert cli_mod.build_parser() is cli_mod.build_parser()
+    monkeypatch.setattr(cli_mod, "build_parser", cli_mod.build_parser.__wrapped__)
+    assert cli_mod.build_parser() is not cli_mod.build_parser()
+    assert _three_calls(capsys) == cached
+
+
+def test_structure_runs_block_work_once(capsys, monkeypatch):
+    import swk.blocks as blocks_mod
+    import swk.cli as cli_mod
+
+    calls = {"is_block_graph": 0, "nm_block_graph": 0}
+    for name in calls:
+        inner = getattr(blocks_mod, name)
+
+        def counting(*args, _inner=inner, _name=name):
+            calls[_name] += 1
+            return _inner(*args)
+
+        for module in (blocks_mod, cli_mod):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting)
+    code, out, _ = run_cli(capsys, "structure", "--family", "path", "-n", "60", "--json")
+    assert code == 0
+    assert calls == {"is_block_graph": 1, "nm_block_graph": 1}
+    by_name = {r["name"]: r["exact"] for r in json.loads(out)["results"]}
+    # a path on n vertices has no non-modular triple and SW_3 = (n-2) W / 2
+    assert by_name["nonmodular_triples_blockwise"] == "0"
+    assert by_name["sw3_block_formula"] == str(58 * comb(61, 3) // 2)
+
+
+def test_structure_reports_a_non_block_graph(capsys):
+    code, out, _ = run_cli(capsys, "structure", "--family", "cycle", "-n", "5", "--json")
+    assert code == 0
+    by_name = {r["name"]: r["exact"] for r in json.loads(out)["results"]}
+    assert by_name["block_graph"] is False
+    assert "nonmodular_triples_blockwise" not in by_name and "sw3_block_formula" not in by_name
+
+
+@pytest.mark.parametrize(
+    "source",
+    [("--family", "fibonacci", "-n", "9"), ("--input", "{g6}"), ("--input", "{el}")],
+)
+def test_index_on_array_inputs_builds_no_tuples(tmp_path, capsys, monkeypatch, source):
+    import swk.graphs as graphs_mod
+    from swk.graphs import fibonacci_cube, write_graph6
+
+    G = fibonacci_cube(9)
+    g6, el = tmp_path / "fib9.g6", tmp_path / "fib9.el"
+    g6.write_bytes(write_graph6(G) + b"\n")
+    el.write_text("".join(f"{u} {v}\n" for u, v in G.edges()))
+    monkeypatch.setattr(graphs_mod, "_tuples_from_csr",
+                        lambda *_: pytest.fail("adjacency tuples built"))
+    argv = [a.format(g6=g6, el=el) for a in source]
+    code, out, _ = run_cli(capsys, "index", *argv, "-k", "2", "--json")
+    assert code == 0
+    by_name = {r["name"]: r["exact"] for r in json.loads(out)["results"]}
+    assert by_name["wiener"] == "14592"
+
+
+def test_declared_count_with_an_isolated_last_vertex_exits_3(tmp_path, capsys):
+    f = tmp_path / "isolated.el"
+    f.write_text("n 3\n0 1\n")
+    code, out, err = run_cli(capsys, "index", "--input", str(f))
+    assert code == 3
+    assert "connected" in err
+    assert out == ""

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pickle
 import random
+import re
 
 import networkx as nx
 import numpy as np
@@ -161,6 +162,53 @@ def test_parse_edgelist_rejects_non_integer():
 def test_parse_edgelist_empty_gives_empty_graph():
     g = parse_edgelist("")
     assert (g.n, g.m) == (0, 0)
+
+
+def test_parse_edgelist_builds_an_array_graph():
+    g = parse_edgelist("n 4\n2 1\n0 1\n1 0\n0 1\n1 2  # again\n")
+    assert g.indptr is not None
+    assert (g.n, g.m) == (4, 2)
+    assert g.indptr.tolist() == [0, 1, 3, 4, 4]
+    assert g.indices.tolist() == [1, 0, 2, 1]
+    assert list(g.edges()) == [(0, 1), (1, 2)]
+    assert parse_edgelist("").indptr.tolist() == [0]
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("0 0", "line 1: self-loop at vertex 0"),
+        ("0 1\n\n# c\n3 3 # loop", "line 4: self-loop at vertex 3"),
+        ("n 2\n0 3", "declared vertex count 2 but vertex id 3 appears"),
+        ("0 1\n0 x", "line 2: non-integer token 'x'"),
+        ("0 1\nx y", "line 2: non-integer token 'x'"),
+        ("0 1\n1 2 3", "line 2: expected 'u v', got '1 2 3'"),
+        ("# c\n\n0 1 # c\n5", "line 4: expected 'u v', got '5'"),
+        ("0 1\n\n2 -3", "line 3: negative vertex id"),
+        ("-1 0", "line 1: negative vertex id"),
+        ("n 3 4", "line 1: expected 'n <count>'"),
+        ("# c\nn", "line 2: expected 'n <count>'"),
+        ("n x", "line 1: non-integer token 'x'"),
+        ("n -1", "line 1: negative vertex count"),
+        ("0 1\nn 3", "line 2: non-integer token 'n'"),
+        # the first bad line wins, whatever the later lines hold
+        ("0 0\n0 x", "line 1: self-loop at vertex 0"),
+        ("0 -1\n1 2 3", "line 1: negative vertex id"),
+        ("0 x\n1 1", "line 1: non-integer token 'x'"),
+        ("n 2\n0 x\n0 5", "line 2: non-integer token 'x'"),
+    ],
+)
+def test_parse_edgelist_error_messages(text, message):
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        parse_edgelist(text)
+
+
+@pytest.mark.parametrize("text,n", [(f"0 {1 << 20}", (1 << 20) + 1),
+                                    ("0 99999999999999999999999", 10**23),
+                                    ("n 1048577", (1 << 20) + 1)])
+def test_parse_edgelist_refuses_more_vertices_than_the_cap(text, n):
+    with pytest.raises(ParseError, match=f"^edge list has {n} vertices \\(cap 1048576\\)$"):
+        parse_edgelist(text)
 
 
 # -- graph6 codec -------------------------------------------------------------

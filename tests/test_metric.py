@@ -65,6 +65,20 @@ def test_distances_require_connected():
         all_pairs_distances(Graph(4, [(0, 1), (2, 3)]))
 
 
+def _from_pairs(g: Graph) -> Graph:
+    return Graph(g.n, list(g.edges()))
+
+
+def _from_array(g: Graph) -> Graph:
+    h = Graph(g.n, np.array(list(g.edges()), dtype=np.int64).reshape(-1, 2))
+    assert h.indptr is not None
+    return h
+
+
+# Both BFS routes: Python ints over pair-built graphs, numpy over CSR arrays.
+ROUTES = (_from_pairs, _from_array)
+
+
 def _networkx_distances(g: Graph) -> np.ndarray:
     """Distance matrix from networkx BFS, which shares no code with swk."""
     h = nx.Graph()
@@ -83,7 +97,7 @@ def _assert_matches_networkx(g: Graph) -> None:
     assert (D == _networkx_distances(g)).all(), g
 
 
-def test_distances_match_networkx_families():
+def _family_graphs() -> list[Graph]:
     graphs = [Graph(0, []), Graph(1, []), Graph(2, [(0, 1)])]
     # diameters 0..39 cross every bit-plane boundary up to 32
     graphs += [path_graph(n) for n in range(1, 41)]
@@ -94,21 +108,48 @@ def test_distances_match_networkx_families():
     graphs += [fibonacci_cube(k) for k in range(13)]
     graphs += [lucas_cube(k) for k in range(13)]
     graphs += [hypercube(k) for k in range(1, 9)]
-    for g in graphs:
-        _assert_matches_networkx(g)
+    return graphs
+
+
+def test_distances_match_networkx_families():
+    for rebuild in ROUTES:
+        for g in _family_graphs():
+            _assert_matches_networkx(rebuild(g))
 
 
 def test_distances_match_networkx_small_corpus(small_corpus):
-    for g in small_corpus:
-        _assert_matches_networkx(g)
+    for rebuild in ROUTES:
+        for g in small_corpus:
+            _assert_matches_networkx(rebuild(g))
+
+
+def _random_graphs() -> list[Graph]:
+    rng = random.Random(1105)
+    graphs = [random_connected(rng, 12) for _ in range(200)]
+    return graphs + [random_connected_graph(150, m, rng) for m in (2000, 5000, 9000)]
 
 
 def test_distances_match_networkx_random():
-    rng = random.Random(1105)
-    for _ in range(200):
-        _assert_matches_networkx(random_connected(rng, 12))
-    for m in (2000, 5000, 9000):
-        _assert_matches_networkx(random_connected_graph(150, m, rng))
+    for rebuild in ROUTES:
+        for g in _random_graphs():
+            _assert_matches_networkx(rebuild(g))
+
+
+def test_csr_route_across_gather_and_unpack_blocks(monkeypatch):
+    """Gather chunks of one row and of a few rows; unpack blocks of one row
+    and of a few rows."""
+    import swk.metric as metric_mod
+
+    rng = random.Random(7)
+    graphs = [path_graph(300), fibonacci_cube(9), hypercube(6), star_graph(70)]
+    graphs += [random_connected_graph(150, 2000, rng), random_connected(rng, 12)]
+    graphs = [_from_array(g) for g in graphs]
+    for gather, unpack in ((1, 1), (16, 200), (200, 1000)):
+        monkeypatch.setattr(metric_mod, "_GATHER_WORDS", gather)
+        monkeypatch.setattr(metric_mod, "_UNPACK_BYTES", unpack)
+        for g in graphs:
+            g._dist = None
+            _assert_matches_networkx(g)
 
 
 @pytest.mark.parametrize(
@@ -118,11 +159,13 @@ def test_distances_match_networkx_random():
         Graph(5, [(0, 1), (1, 2), (2, 3)]),  # last vertex isolated
         Graph(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)]),  # two halves
         Graph(2, []),
+        Graph(70, [(i, i + 1) for i in range(69) if i != 64]),  # split past the first word
     ],
 )
 def test_distances_reject_disconnected(g):
-    with pytest.raises(PreconditionError, match="connected"):
-        all_pairs_distances(g)
+    for rebuild in ROUTES:
+        with pytest.raises(PreconditionError, match="connected"):
+            all_pairs_distances(rebuild(g))
 
 
 def test_distance_matrix_properties_random():

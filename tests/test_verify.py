@@ -15,9 +15,7 @@ from swk import (
     all_pairs_distances,
     complete_bipartite_graph,
     cycle_graph,
-    fibonacci_cube,
     hypercube,
-    lucas_cube,
 )
 from swk.generators import paw_graph, random_block_graph, random_connected
 from swk.graphs import Graph
@@ -112,21 +110,14 @@ def test_block_graphs_suite_at_defaults():
 def test_cube_suite_counts_orders_without_building_tuples(monkeypatch, family):
     import swk.graphs as graphs_mod
 
-    built = []
-    inner = graphs_mod._tuples_from_csr
-    monkeypatch.setattr(
-        graphs_mod, "_tuples_from_csr",
-        lambda indptr, indices: built.append(indptr.size - 1) or inner(indptr, indices),
-    )
+    monkeypatch.setattr(graphs_mod, "_tuples_from_csr",
+                        lambda *_: pytest.fail("adjacency tuples built"))
     report = run_suite(family, max_n=8, wiener_max_n=12)
     assert report.ok()
     rows = {c["name"]: c["instances"] for c in report.checks}
     assert rows["vertex-count-matches-number-sequence"] == 21
-    # Tuples are built once for each order the distance checks read: 1-12
-    # (Lucas: 2-12; the smaller orders have one vertex and need no search).
-    order_12 = fibonacci_cube(12).n if family == "fibonacci" else lucas_cube(12).n
-    assert max(built) == order_12
-    assert len(built) == len(set(built)) == (12 if family == "fibonacci" else 11)
+    # the distance checks of orders 1-12 run their BFS over the CSR arrays
+    assert rows["wiener-closed-form-matches-bfs"] == (13 if family == "fibonacci" else 12)
 
 
 def test_products_suite_runs_one_bfs_per_graph(apsp_calls):
