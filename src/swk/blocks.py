@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .bitset import mask_of
 from .errors import PreconditionError
-from .graphs import Graph, is_connected
+from .graphs import Graph
 from .metric import wiener_index
 
 
@@ -32,12 +32,11 @@ def block_decomposition(G: Graph) -> BlockDecomposition:
 
     Blocks come out ordered by their sorted vertex tuples, so the result is
     reproducible regardless of traversal order.  Every edge belongs to
-    exactly one block; two blocks share at most a cut vertex.
+    exactly one block; two blocks share at most a cut vertex.  The DFS from
+    vertex 0 doubles as the connectivity check.
     """
-    if not is_connected(G):
-        raise PreconditionError("graph must be connected")
     n = G.n
-    if n == 0 or G.m == 0:
+    if n <= 1:
         return BlockDecomposition((), 0, {})
 
     disc = [-1] * n
@@ -87,6 +86,8 @@ def block_decomposition(G: Graph) -> BlockDecomposition:
                     raw_blocks.append(comp)
                     if u != 0:
                         cut |= 1 << u
+    if timer < n:
+        raise PreconditionError("graph must be connected")
     if root_children > 1:
         cut |= 1
     assert not edge_stack, "edge stack not drained"

@@ -4,12 +4,12 @@ Graphs are simple, finite, undirected, with dense vertex ids 0..n-1.
 Instances are immutable after construction and safe to share read-only.
 The small builders hand :class:`Graph` Python pairs, which become sorted
 adjacency tuples at once: on graphs of about ten vertices that loop is
-several times cheaper than the numpy calls' fixed cost.  The producers of
-large graphs and the parsers (the hypercube, Fibonacci and Lucas cube
-builders, the edge-list parser and the graph6 decoder) hand it an (m, 2)
-numpy edge array, which it keeps as CSR arrays; connectivity and distances
-are searched over those arrays in numpy, and their adjacency tuples, the
-cube labels and every graph's neighbor bitmasks are built on first use.
+several times cheaper than the numpy calls' fixed cost.  The parsers hand
+it an (m, 2) numpy edge array, which it checks and keeps as CSR arrays;
+the hypercube, Fibonacci and Lucas cube builders write sorted CSR arrays
+themselves, by rank arithmetic.  Connectivity and distances are searched
+over those arrays in numpy, and their adjacency tuples, the cube labels
+and every graph's neighbor bitmasks are built on first use.
 """
 
 from __future__ import annotations
@@ -41,7 +41,8 @@ class Graph:
 
     Pairs fill ``adjacency`` at once and leave ``indptr`` and ``indices``
     None.  An array is kept as CSR arrays: the sorted neighbours of v are
-    ``indices[indptr[v]:indptr[v + 1]]``.  ``labels`` may be a function.
+    ``indices[indptr[v]:indptr[v + 1]]``; cube builders pass theirs, sorted
+    and unchecked, to ``_from_csr``.  ``labels`` may be a function, and
     ``__getattr__`` fills an unset ``adjacency``, ``adj_bits`` or ``labels``
     slot on first read.  ``_dist`` holds the distance matrix once
     :func:`swk.metric.all_pairs_distances` has computed it.
@@ -84,6 +85,14 @@ class Graph:
             self.labels = tuple(labels) if labels is not None else None
             if self.labels is not None and len(self.labels) != n:
                 raise ValueError("labels length must equal vertex count")
+
+    @classmethod
+    def _from_csr(cls, indptr: np.ndarray, indices: np.ndarray, labels: Callable) -> Graph:
+        """A graph on sorted, duplicate-free CSR arrays, kept unchecked."""
+        G = cls.__new__(cls)
+        G.n, G.m, G.indptr, G.indices = indptr.size - 1, indices.size // 2, indptr, indices
+        G._labels, G._dist = labels, None
+        return G
 
     def __getattr__(self, name: str):
         if name == "adjacency":
@@ -415,21 +424,33 @@ def star_graph(n: int) -> Graph:
     return Graph(n, [(0, v) for v in range(1, n)])
 
 
-def _cube_from_strings(width: int, values: np.ndarray) -> Graph:
-    """Subgraph of the width-cube induced by a sorted int64 array of strings.
+def _cube_from_strings(width: int, values: np.ndarray, rule: str,
+                       keep: np.ndarray | None = None) -> Graph:
+    """Subgraph of the width-cube on the sorted strings ``values`` (those with
+    ``keep``, if given), its CSR arrays written by rank arithmetic.
 
-    Strings one bit apart are joined: for each bit i, one searchsorted
-    finds x | 2^i among the strings for every x with bit i clear.
+    A string's rank is its place in ``values``.  Setting bit i adds 2^i to it
+    under ``rule`` "any", where any clear bit is settable; under "path" or
+    "cycle" it adds F(i+2) (Zeckendorf), and a bit is settable only when its
+    neighbours on the path or cycle are clear (a one-bit cycle's bit is its
+    own neighbour).  Mask columns clear set bits from the highest down, then
+    set settable bits from the lowest up, so ids rise along each row.  With
+    ``keep``, ranks are renumbered among the kept strings.
     """
-    found = []
-    for i in range(width):
-        lo = np.flatnonzero((values & (1 << i)) == 0)
-        up = values[lo] | (1 << i)
-        hi = np.minimum(np.searchsorted(values, up), values.size - 1)
-        hit = values[hi] == up
-        found.append(np.stack((lo[hit], hi[hit]), axis=1))
-    edges = np.concatenate(found) if found else np.empty((0, 2), dtype=np.int64)
-    return Graph(values.size, edges, labels=partial(_bit_strings, width, values))
+    ranks = np.arange(values.size) if keep is None else np.flatnonzero(keep)
+    values = values if keep is None else values[keep]
+    step = np.array([1 << i if rule == "any" else fibonacci(i + 2) for i in range(width)], np.int64)
+    bits = np.unpackbits(values.astype("<u4").view(np.uint8).reshape(-1, 4), axis=1,
+                         count=width, bitorder="little").view(bool)
+    mask = np.concatenate((bits[:, ::-1], ~bits), axis=1)
+    if rule != "any" and width:
+        near = np.pad(bits, ((0, 0), (1, 1)), "wrap" if rule == "cycle" else "constant")
+        mask[:, width:] &= ~near[:, :-2] & ~near[:, 2:] & (rule == "path" or width > 1)
+    indptr = np.concatenate(([0], np.cumsum(mask.sum(axis=1))))
+    indices = np.repeat(ranks, np.diff(indptr))
+    indices += np.concatenate((-step[::-1], step))[np.flatnonzero(mask) % (2 * width)]
+    ids = indices if keep is None else (np.cumsum(keep) - 1)[indices]
+    return Graph._from_csr(indptr, ids, partial(_bit_strings, width, values))
 
 
 def _bit_strings(width: int, values: np.ndarray) -> list[str]:
@@ -460,7 +481,7 @@ def _check_cube_order(n: int, nv: int, max_vertices: int) -> None:
 def hypercube(n: int, max_vertices: int = DEFAULT_VERTEX_CAP) -> Graph:
     """n-cube on all binary strings of length n."""
     _check_cube_order(n, 1 << n, max_vertices)
-    return _cube_from_strings(n, np.arange(1 << n, dtype=np.int64))
+    return _cube_from_strings(n, np.arange(1 << n, dtype=np.int64), "any")
 
 
 def fibonacci_cube(n: int, max_vertices: int = DEFAULT_VERTEX_CAP) -> Graph:
@@ -470,7 +491,7 @@ def fibonacci_cube(n: int, max_vertices: int = DEFAULT_VERTEX_CAP) -> Graph:
     strings themselves.  |V| = F(n+2).
     """
     _check_cube_order(n, fibonacci(n + 2), max_vertices)
-    return _cube_from_strings(n, _fibonacci_strings(n))
+    return _cube_from_strings(n, _fibonacci_strings(n), "path")
 
 
 def lucas_cube(n: int, max_vertices: int = DEFAULT_VERTEX_CAP) -> Graph:
@@ -480,9 +501,8 @@ def lucas_cube(n: int, max_vertices: int = DEFAULT_VERTEX_CAP) -> Graph:
     """
     _check_cube_order(n, lucas(n) if n >= 1 else 1, max_vertices)
     values = _fibonacci_strings(n)
-    if n >= 1:
-        values = values[((values >> (n - 1)) & values & 1) == 0]
-    return _cube_from_strings(n, values)
+    keep = ((values >> (n - 1)) & values & 1) == 0 if n >= 1 else None
+    return _cube_from_strings(n, values, "cycle", keep)
 
 
 def make_family(spec: FamilySpec, max_vertices: int = DEFAULT_VERTEX_CAP) -> Graph:

@@ -13,6 +13,7 @@ import random
 from collections.abc import Iterator
 from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
@@ -178,6 +179,25 @@ def brute_cube(n: int, keep) -> Graph:
     ]
     labels = [format(x, f"0{n}b") if n else "" for x in values]
     return Graph(len(values), edges, labels=labels)
+
+
+def searchsorted_cube(n: int, keep) -> Graph:
+    """Reference for the cube builders: the subgraph of the n-cube induced by
+    the strings x in 0..2^n-1 where the array predicate keep(x) holds.  For
+    each bit i, one searchsorted finds x | 2^i among the kept strings for
+    every x with bit i clear, and the edges go to Graph as an (m, 2) array,
+    so the result shares no code with the builders' rank arithmetic."""
+    values = np.arange(1 << n, dtype=np.int64)
+    values = values[keep(values)]
+    found = [np.empty((0, 2), dtype=np.int64)]
+    for i in range(n):
+        lo = np.flatnonzero((values & (1 << i)) == 0)
+        up = values[lo] | (1 << i)
+        hi = np.minimum(np.searchsorted(values, up), values.size - 1)
+        hit = values[hi] == up
+        found.append(np.stack((lo[hit], hi[hit]), axis=1))
+    labels = [format(x, f"0{n}b") if n else "" for x in values.tolist()]
+    return Graph(values.size, np.concatenate(found), labels=labels)
 
 
 def _median_mask(D, a: int, b: int, c: int) -> int:

@@ -6,6 +6,7 @@ import random
 from itertools import combinations
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from swk import (
@@ -24,6 +25,7 @@ from swk import (
     wiener_index,
 )
 from swk.bitset import bit_list, mask_of
+from swk.blocks import BlockDecomposition
 from swk.generators import paw_graph, random_block_graph, random_tree
 from swk.graphs import Graph
 
@@ -61,8 +63,17 @@ def test_single_edge_graph():
 
 
 def test_decomposition_requires_connected():
-    with pytest.raises(PreconditionError):
-        block_decomposition(Graph(4, [(0, 1), (2, 3)]))
+    disconnected = [
+        Graph(4, [(0, 1), (2, 3)]),
+        Graph(2, []),
+        Graph(5, np.array([[0, 1], [1, 2], [0, 2], [3, 4]])),
+        Graph(3, np.array([[1, 2]])),
+    ]
+    for G in disconnected:
+        with pytest.raises(PreconditionError, match="connected"):
+            block_decomposition(G)
+    for G in (Graph(1, []), Graph(0, [])):
+        assert block_decomposition(G) == BlockDecomposition((), 0, {})
 
 
 def test_decomposition_invariants_random():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pickle
 import random
 import re
+from functools import partial
 
 import networkx as nx
 import numpy as np
@@ -38,7 +39,7 @@ from swk import (
 )
 from swk.generators import random_connected
 
-from conftest import bfs_connected, brute_cube
+from conftest import bfs_connected, brute_cube, searchsorted_cube
 
 
 @st.composite
@@ -342,6 +343,24 @@ def test_cubes_match_brute_force_scan(n):
         assert built.labels == reference.labels
 
 
+@pytest.mark.parametrize(
+    "build,top,keep",
+    [
+        (hypercube, 16, lambda n, x: x >= 0),
+        (fibonacci_cube, 20, lambda n, x: x & (x >> 1) == 0),
+        # no two ones adjacent around the cycle: x and its rotation by one
+        (lucas_cube, 20, lambda n, x: x & ((x >> 1) | (x & 1) << max(n - 1, 0)) == 0),
+    ],
+    ids=["hypercube", "fibonacci", "lucas"],
+)
+def test_cube_csr_arrays_match_searchsorted_reference(build, top, keep):
+    for n in range(top + 1):
+        built, reference = build(n), searchsorted_cube(n, partial(keep, n))
+        assert np.array_equal(built.indptr, reference.indptr), n
+        assert np.array_equal(built.indices, reference.indices), n
+        assert built.m == reference.m and built.labels == reference.labels, n
+
+
 def test_fibonacci_cube_4_has_8_vertices():
     assert fibonacci_cube(4).n == 8
 
@@ -480,12 +499,17 @@ def test_is_connected_numpy_route_matches_python_bfs():
         (lambda: lucas_cube(20), True),
         (lambda: hypercube(14), True),
         (lambda: parse_graph6(write_graph6(fibonacci_cube(12))), False),
+        (lambda: hypercube(0), True),
+        (lambda: fibonacci_cube(1), True),
+        (lambda: lucas_cube(1), True),
+        (lambda: lucas_cube(2), True),
     ],
-    ids=["fibonacci20", "lucas20", "hypercube14", "graph6"],
+    ids=["fibonacci20", "lucas20", "hypercube14", "graph6", "hypercube0", "fibonacci1",
+         "lucas1", "lucas2"],
 )
 def test_array_built_graph_builds_tuples_on_first_read(build, lazy_labels):
     G = build()
-    assert is_connected(G)
+    assert G._dist is None and is_connected(G)
     assert not _slot_is_set(G, "adjacency")
     assert _slot_is_set(G, "labels") != lazy_labels
     adjacency = G.adjacency
@@ -497,7 +521,8 @@ def test_array_built_graph_builds_tuples_on_first_read(build, lazy_labels):
 
 
 def test_lazy_graphs_pickle():
-    for G in (fibonacci_cube(6), lucas_cube(0), parse_graph6("Dhc"), cycle_graph(5)):
+    for G in (fibonacci_cube(6), lucas_cube(0), parse_graph6("Dhc"), cycle_graph(5),
+              hypercube(0), fibonacci_cube(1), lucas_cube(1), lucas_cube(2)):
         copy = pickle.loads(pickle.dumps(G))
         assert copy == G and copy.m == G.m and copy.labels == G.labels
         all_pairs_distances(G)
