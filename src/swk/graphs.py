@@ -14,7 +14,6 @@ and every graph's neighbor bitmasks are built on first use.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from functools import partial
@@ -87,7 +86,8 @@ class Graph:
                 raise ValueError("labels length must equal vertex count")
 
     @classmethod
-    def _from_csr(cls, indptr: np.ndarray, indices: np.ndarray, labels: Callable) -> Graph:
+    def _from_csr(cls, indptr: np.ndarray, indices: np.ndarray,
+                  labels: Callable | tuple | None) -> Graph:
         """A graph on sorted, duplicate-free CSR arrays, kept unchecked."""
         G = cls.__new__(cls)
         G.n, G.m, G.indptr, G.indices = indptr.size - 1, indices.size // 2, indptr, indices
@@ -100,18 +100,18 @@ class Graph:
         elif name == "adj_bits":
             self.adj_bits = tuple(mask_of(a) for a in self.adjacency)
         elif name == "labels":
-            self.labels = tuple(self._labels())
+            self.labels = tuple(self._labels()) if callable(self._labels) else self._labels
         else:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         return getattr(self, name)
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        a = self.adjacency[u]
-        i = bisect_left(a, v)
-        return i < len(a) and a[i] == v
+    def __reduce__(self) -> tuple:
+        """Pickle n and the edges, or the CSR arrays, with the labels or their
+        function.  ``_dist`` and the slots filled on first use do not travel."""
+        if self.indptr is None:
+            return Graph, (self.n, list(self.edges()), self.labels)
+        labels = self._labels if callable(self._labels) else self.labels
+        return Graph._from_csr, (self.indptr, self.indices, labels)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (u, v) with u < v, in lexicographic order."""
@@ -450,11 +450,18 @@ def _cube_from_strings(width: int, values: np.ndarray, rule: str,
     indices = np.repeat(ranks, np.diff(indptr))
     indices += np.concatenate((-step[::-1], step))[np.flatnonzero(mask) % (2 * width)]
     ids = indices if keep is None else (np.cumsum(keep) - 1)[indices]
-    return Graph._from_csr(indptr, ids, partial(_bit_strings, width, values))
+    return Graph._from_csr(indptr, ids, partial(_cube_labels, width, rule))
 
 
-def _bit_strings(width: int, values: np.ndarray) -> list[str]:
+def _cube_labels(width: int, rule: str) -> list[str]:
+    """The cube's strings, rebuilt from (width, rule) so that no graph keeps them."""
+    values = np.arange(1 << width) if rule == "any" else _fibonacci_strings(width)
+    values = values[_lucas_keep(values, width)] if rule == "cycle" and width else values
     return [format(x, f"0{width}b") for x in values.tolist()] if width else [""]
+
+
+def _lucas_keep(values: np.ndarray, n: int) -> np.ndarray:
+    return ((values >> (n - 1)) & values & 1) == 0
 
 
 def _fibonacci_strings(n: int) -> np.ndarray:
@@ -501,8 +508,7 @@ def lucas_cube(n: int, max_vertices: int = DEFAULT_VERTEX_CAP) -> Graph:
     """
     _check_cube_order(n, lucas(n) if n >= 1 else 1, max_vertices)
     values = _fibonacci_strings(n)
-    keep = ((values >> (n - 1)) & values & 1) == 0 if n >= 1 else None
-    return _cube_from_strings(n, values, "cycle", keep)
+    return _cube_from_strings(n, values, "cycle", _lucas_keep(values, n) if n >= 1 else None)
 
 
 def make_family(spec: FamilySpec, max_vertices: int = DEFAULT_VERTEX_CAP) -> Graph:

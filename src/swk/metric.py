@@ -49,7 +49,6 @@ def all_pairs_distances(G: Graph) -> np.ndarray:
     which are small, run it on Python ints over their adjacency tuples.
     """
     if G._dist is not None:
-        G._dist.flags.writeable = False  # copied or unpickled arrays come back writeable
         return G._dist
     n = G.n
     if n > MATRIX_LIMIT:

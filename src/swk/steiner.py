@@ -4,7 +4,8 @@ The Steiner distance d(S) of a terminal set S is the edge count of a
 minimum connected subgraph spanning S (always a tree).  Production routes:
 a median-candidate scan for |S| = 3 (a Steiner tree on three terminals has
 at most one branch vertex, so d(S) = min_v sum of distances to v), blocked
-over all triples for SW_3, and one Dreyfus-Wagner dynamic program over
+over all triples of a stack of same-order graphs for SW_3 (one graph, or
+each order's graphs in ``sw3_batch``), and one Dreyfus-Wagner program over
 (terminal subset, root) states for larger S, run once per k-subset for
 SW_k.  The superset-scan oracle and the all-subsets table are exponential
 references that share no code with them.  The mean-Steiner bounds, the
@@ -16,7 +17,7 @@ bitmasks; duplicates collapse.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -28,7 +29,7 @@ from .bitset import as_vertex_list, mask_of
 from .errors import PreconditionError
 from .graphs import Graph
 from .metric import all_pairs_distances, wiener_index
-from .structure import _scan_guard, is_modular
+from .structure import _by_order, _stack, is_modular
 
 # Largest terminal set or k: the DP has 2^k * n states per subset.
 K_MAX = 12
@@ -159,26 +160,40 @@ def steiner_distance_dw(G: Graph, terminals: int | Iterable[int]) -> int:
     return _dreyfus_wagner(D, ids)
 
 
-def _sw3(D: np.ndarray) -> int:
-    """SW_3 by the median-candidate scan d({a,b,c}) = min_v D[v,a]+D[v,b]+D[v,c].
+def _sw3(D: np.ndarray) -> list[int]:
+    """SW_3 of each graph in a stack D of g distance matrices of order n, by
+    the median-candidate scan d({a,b,c}) = min_v D[v,a]+D[v,b]+D[v,c].
 
-    Per middle vertex b, one numpy step covers a run of a < b (about _BLOCK
-    elements, at least one a) against every c > b.  D is cast to int8 when
-    3 * max(D) <= 127, else int16; each block is summed in int64.
+    Per middle vertex b, one numpy step covers a run of a < b against every
+    c > b of every graph, about _BLOCK elements (at least one a).  D is cast
+    to int8 when 3 * max(D) <= 127, else int16.  Each step writes its minima
+    into a (g, about _BLOCK / g) buffer, summed per graph in int64 only when
+    full, as a sum along an axis costs more per call than a whole-array one.
     """
-    n = D.shape[0]
-    E = D.astype(np.int8 if 3 * int(D.max()) <= 127 else np.int16)
-    total = 0
+    g, n = D.shape[:2]
+    E = D.astype(np.int8 if 3 * int(D.max(initial=0)) <= 127 else np.int16)
+    buffer, totals, used = np.empty((g, max(n, _BLOCK // g)), E.dtype), np.zeros(g, np.int64), 0
     for b in range(1, n - 1):
-        C = E[:, b + 1:]
-        step = max(1, _BLOCK // (n * C.shape[1]))
+        C = E[:, :, b + 1:]
+        step = max(1, _BLOCK // (g * n * C.shape[2]))
         for lo in range(0, b, step):
-            S = E[:, lo:min(b, lo + step)] + E[:, b:b + 1]
+            S = E[:, :, lo:min(b, lo + step)] + E[:, :, b:b + 1]
             # the longer of the two runs goes innermost, where numpy vectorises
-            X, Y = (C, S) if S.shape[1] > C.shape[1] else (S, C)
-            block = np.minimum.reduce(X[:, :, None] + Y[:, None, :], axis=0)
-            total += int(block.sum(dtype=np.int64))
-    return total
+            X, Y = (C, S) if S.shape[2] > C.shape[2] else (S, C)
+            size = X.shape[2] * Y.shape[2]
+            if used + size > buffer.shape[1]:
+                totals += buffer[:, :used].sum(axis=1, dtype=np.int64)
+                used = 0
+            out = buffer[:, used:used + size].reshape(g, X.shape[2], Y.shape[2])
+            np.minimum.reduce(X[:, :, :, None] + Y[:, :, None, :], axis=1, out=out)
+            used += size
+    totals += buffer[:, :used].sum(axis=1, dtype=np.int64)
+    return totals.tolist()
+
+
+def sw3_batch(graphs: Sequence[Graph]) -> list[int]:
+    """``steiner_wiener(G, 3)`` of each graph, scanned by order in stacks."""
+    return _by_order(_sw3, graphs)
 
 
 def steiner_wiener(G: Graph, k: int) -> int:
@@ -196,12 +211,10 @@ def steiner_wiener(G: Graph, k: int) -> int:
     if k > n:
         return 0
     if k == 3:
-        _scan_guard(n)
+        return _sw3(_stack(G))[0]
     D = all_pairs_distances(G)
     if k == 2:
         return int(D.sum(dtype=np.int64)) // 2
-    if k == 3:
-        return _sw3(D)
     return sum(_dreyfus_wagner(D, list(S)) for S in combinations(range(n), k))
 
 
@@ -235,10 +248,6 @@ class BoundsReport:
     k: int
     mu_k: Fraction
     checks: tuple[BoundCheck, ...]
-
-    @property
-    def proved_hold(self) -> bool:
-        return all(c.holds for c in self.checks if c.status == "proved")
 
 
 def _cmp(name: str, left: Fraction, relation: str, right: Fraction,

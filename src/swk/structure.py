@@ -4,12 +4,14 @@ A triple {a, b, c} is modular when the three pairwise geodesic intervals
 share a vertex (a median).  A graph is modular when every triple is, and
 median when that median is always unique.  One kernel scans all triples:
 it packs every interval into uint64 words, then popcounts the blocked AND
-of I(a, b), I(a, c) and I(b, c).  ``median_set`` is the per-triple reference.
+of I(a, b), I(a, c) and I(b, c), over a stack of same-order graphs: the
+``*_batch`` functions stack each order's graphs, which spreads numpy's fixed
+cost per call on small graphs.  ``median_set`` is the per-triple reference.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -50,63 +52,137 @@ def _scan_guard(n: int) -> None:
 
 
 def _interval_words(D: np.ndarray) -> np.ndarray:
-    """(ceil(n/64), n, n) uint64: bit v of the words at [:, u, x] is set iff v
-    lies on a shortest u-x path.  Built about _BLOCK tests at a time."""
-    n = D.shape[0]
+    """(ceil(n/64), g, n, n) uint64 for a stack D of g distance matrices: bit
+    v of the words at [:, i, u, x] is set iff v lies on a shortest u-x path
+    of graph i.  Built about _BLOCK tests (at least one row u) at a time."""
+    g, n = D.shape[:2]
     words = -(-n // 64)
     # padding columns v >= n hold -1, so their test D[u,v] + D[v,x] == D[u,x] fails
-    E = np.full((n, 64 * words), -1, np.int8 if 2 * int(D.max()) <= 127 else np.int16)
-    E[:, :n] = D
-    out = np.empty((words, n, n), dtype=np.uint64)
-    step = max(1, _BLOCK // (n * n))
+    E = np.full((g, n, 64 * words), -1, np.int8 if 2 * int(D.max(initial=0)) <= 127 else np.int16)
+    E[:, :, :n] = D
+    out = np.empty((words, g, n, n), dtype=np.uint64)
+    step = max(1, _BLOCK // max(1, g * n * n))
     for lo in range(0, n, step):
-        on = E[lo:lo + step, None, :] + E[None, :, :] == E[lo:lo + step, :n, None]
-        packed = np.packbits(on, axis=2, bitorder="little").view(np.uint64)
-        out[:, lo:lo + step] = packed.transpose(2, 0, 1)
+        on = E[:, lo:lo + step, None, :] + E[:, None, :, :] == E[:, lo:lo + step, :n, None]
+        packed = np.packbits(on, axis=3, bitorder="little").view(np.uint64)
+        out[:, :, lo:lo + step] = packed.transpose(3, 0, 1, 2)
     return out
 
 
-def _median_counts(G: Graph) -> Iterator[np.ndarray]:
-    """Median-set sizes |I(a,b) & I(a,c) & I(b,c)| of all triples a < b < c:
-    per middle vertex b, blocks of about _BLOCK words (at least one a) with
-    rows a < b and columns c > b.  Consumers may stop early."""
-    n = G.n
-    if n < 3:
-        return
-    _scan_guard(n)
-    I = _interval_words(all_pairs_distances(G))
+def _median_counts(D: np.ndarray, into: Callable | None = None) -> Iterator[np.ndarray]:
+    """Median-set sizes |I(a,b) & I(a,c) & I(b,c)| of all triples a < b < c of
+    each graph in a stack D of g distance matrices of order n.
+
+    Per middle vertex b, a block covers rows a < b (at least one a) and
+    columns c > b of every graph, about _BLOCK words, and is yielded as a
+    (g, rows, columns) array of small ints, written where ``into(shape)``
+    says if given.  Consumers may stop early.
+    """
+    g, n = D.shape[:2]
+    I = _interval_words(D)
     for b in range(1, n - 1):
-        step = max(1, _BLOCK // (I.shape[0] * (n - b - 1)))
+        Ib = I[:, :, b, None]
+        step = max(1, _BLOCK // (g * I.shape[0] * (n - b - 1)))
         for lo in range(0, b, step):
             # I is symmetric, so a and c may swap; the longer run goes innermost
             a, c = slice(lo, min(b, lo + step)), slice(b + 1, n)
             rows, cols = (c, a) if a.stop - lo > n - b - 1 else (a, c)
-            R = I[:, rows]
-            M = R[:, :, b, None] & R[:, :, cols] & I[:, b, None, cols]
-            yield np.bitwise_count(M).sum(axis=0, dtype=np.int16)
+            R = I[:, :, rows]
+            M = R[:, :, :, b, None] & R[:, :, :, cols]
+            M &= Ib[:, :, :, cols]
+            out = None if into is None else into(M.shape[1:])
+            if len(M) == 1:  # one word per interval: nothing to sum
+                yield np.bitwise_count(M[0], out=out)
+            else:
+                yield np.bitwise_count(M).sum(axis=0, dtype=np.int16, out=out)
+
+
+def _classify(D: np.ndarray) -> list[TripleClassification]:
+    """Blocks are written into a (g, about _BLOCK / 4g) int16 buffer, 64 KiB in
+    all, and reduced per graph only when it is full, as a reduction along an
+    axis costs more per call than a whole-array one (with one graph they run
+    over the whole buffer, several times faster still).  A 256 KiB buffer
+    measured several percent slower per call on one graph."""
+    g, n = D.shape[:2]
+    if n < 3:
+        raise PreconditionError("triple classification needs at least 3 vertices")
+    axis = 1 if g > 1 else None
+    modular, most = np.zeros(g, dtype=np.int64), np.zeros(g, dtype=np.int16)
+    buffer, used = np.empty((g, max(n, _BLOCK // (4 * g))), dtype=np.int16), 0
+
+    def reduce() -> None:
+        np.add(modular, np.count_nonzero(buffer[:, :used], axis=axis), out=modular)
+        np.maximum(most, buffer[:, :used].max(axis=axis, initial=0), out=most)
+
+    def into(shape: tuple[int, ...]) -> np.ndarray:
+        nonlocal used
+        size = shape[1] * shape[2]
+        if used + size > buffer.shape[1]:
+            reduce()
+            used = 0
+        used += size
+        return buffer[:, used - size:used].reshape(shape)
+
+    for _ in _median_counts(D, into):
+        pass
+    reduce()
+    total = comb(n, 3)
+    return [TripleClassification(total, m, total - m, k <= 1)
+            for m, k in zip(modular.tolist(), most.tolist())]
+
+
+def _every_triple(D: np.ndarray, unique: bool = False) -> list[bool]:
+    """Whether every triple has a median (exactly one if ``unique``), per graph;
+    stops once every graph has failed."""
+    holds = np.ones(D.shape[0], dtype=bool)
+    for counts in _median_counts(D):
+        ok = counts == 1 if unique else counts
+        if not ok.all():
+            holds &= ok.all(axis=(1, 2))
+            if not holds.any():
+                break
+    return holds.tolist()
+
+
+def _stack(G: Graph) -> np.ndarray:
+    _scan_guard(G.n)
+    return all_pairs_distances(G)[None]
+
+
+def _by_order(kernel: Callable[[np.ndarray], list], graphs: Sequence[Graph]) -> list:
+    """``kernel`` of each order's stacked graphs; results in the order of ``graphs``."""
+    results: list = [None] * len(graphs)
+    for n in {G.n for G in graphs}:
+        ids = [i for i, G in enumerate(graphs) if G.n == n]
+        for i, result in zip(ids, kernel(np.concatenate([_stack(graphs[i]) for i in ids]))):
+            results[i] = result
+    return results
 
 
 def classify_triples(G: Graph) -> TripleClassification:
     """Count modular and non-modular 3-sets over all C(n, 3) triples, and
     whether every modular triple has exactly one median."""
-    if G.n < 3:
-        raise PreconditionError("triple classification needs at least 3 vertices")
-    modular, unique = 0, True
-    for counts in _median_counts(G):
-        modular += int(np.count_nonzero(counts))
-        unique = unique and int(counts.max()) <= 1
-    total = comb(G.n, 3)
-    return TripleClassification(total, modular, total - modular, unique)
+    return _classify(_stack(G))[0]
+
+
+def classify_batch(graphs: Sequence[Graph]) -> list[TripleClassification]:
+    """:func:`classify_triples` of each graph, in stacks of one order."""
+    return _by_order(_classify, graphs)
 
 
 def is_modular(G: Graph) -> bool:
     """True iff every vertex triple has a median; stops at the first failing block."""
-    return all(counts.all() for counts in _median_counts(G))
+    return _every_triple(_stack(G))[0]
+
+
+def is_modular_batch(graphs: Sequence[Graph]) -> list[bool]:
+    """:func:`is_modular` of each graph, in stacks of one order."""
+    return _by_order(_every_triple, graphs)
 
 
 def is_median(G: Graph) -> bool:
     """True iff every vertex triple has exactly one median."""
-    return all((counts == 1).all() for counts in _median_counts(G))
+    return _every_triple(_stack(G), unique=True)[0]
 
 
 def steiner_via_2intersection(

@@ -3,6 +3,8 @@ brute-force recomputation on seeded corpora.
 
 Each suite aggregates named properties over many instances; the first
 failing instance (if any) is serialized as graph6 so it can be replayed.
+The small-graph suites draw every instance first, run the triple kernels
+once per order over a stack, and record their checks in draw order.
 The block-graphs suite's half-perimeter and pseudo-median checks are numpy
 scans over the distance matrix alone: the same suite tests the triple
 kernels of ``structure`` and ``steiner``, so its own checks share no code
@@ -55,14 +57,14 @@ from .report import Report
 from .steiner import (
     K_MAX,
     check_bounds,
-    check_sw3_modular_bound,
     steiner_distance_3,
     steiner_distance_dw,
     steiner_distance_oracle,
     steiner_wiener,
+    sw3_batch,
     sw3_product_modular,
 )
-from .structure import classify_triples, is_modular
+from .structure import classify_batch, is_modular_batch
 
 SUITE_NAMES = (
     "trees",
@@ -138,12 +140,9 @@ def _suite_trees(*, count: int = 200, max_n: int = 12, seed: int = 42, **_) -> R
     c_ident = Check("tree-double-sw3-equals-(n-2)-wiener")
     c_median = Check("tree-is-median-with-no-nonmodular-triples")
     c_block = Check("tree-block-formula-agrees")
-    for _ in range(count):
-        T = random_tree(rng.randint(3, max_n), rng)
-        w = wiener_index(T)
-        s3 = steiner_wiener(T, 3)
-        c_ident.record(2 * s3 == (T.n - 2) * w, T)
-        cls = classify_triples(T)
+    trees = [random_tree(rng.randint(3, max_n), rng) for _ in range(count)]
+    for T, s3, cls in zip(trees, sw3_batch(trees), classify_batch(trees)):
+        c_ident.record(2 * s3 == (T.n - 2) * wiener_index(T), T)
         c_median.record(cls.nonmodular == 0 and cls.median_unique, T)
         c_block.record(sw3_block_formula(T) == 2 * s3, T)
     return _finish(Report(), [c_ident, c_median, c_block], started)
@@ -175,22 +174,18 @@ def _suite_modular_bound(
     started = time.perf_counter()
     c_lower = Check("double-sw3-at-least-(n-2)-wiener")
     c_iff = Check("equality-iff-modular")
-    modular_seen = nonmodular_seen = skipped = 0
-    for G in _modular_bound_corpus(count, max_n, seed, corpus):
-        if G.n < 3 or not is_connected(G):
-            skipped += 1
-            continue
-        result = check_sw3_modular_bound(G)
-        modular = is_modular(G)
-        modular_seen += modular
-        nonmodular_seen += not modular
-        c_lower.record(result.twice_sw3 >= result.scaled_wiener, G)
-        c_iff.record(result.equality == modular, G)
+    drawn = list(_modular_bound_corpus(count, max_n, seed, corpus))
+    graphs = [G for G in drawn if G.n >= 3 and is_connected(G)]
+    modular = is_modular_batch(graphs)
+    for G, s3, mod in zip(graphs, sw3_batch(graphs), modular):
+        twice_sw3, scaled_wiener = 2 * s3, (G.n - 2) * wiener_index(G)
+        c_lower.record(twice_sw3 >= scaled_wiener, G)
+        c_iff.record((twice_sw3 == scaled_wiener) == mod, G)
     report = Report()
-    report.add_result("modular-instances", modular_seen)
-    report.add_result("nonmodular-instances", nonmodular_seen)
-    if skipped:
-        report.add_result("skipped-instances", skipped)
+    report.add_result("modular-instances", sum(modular))
+    report.add_result("nonmodular-instances", len(graphs) - sum(modular))
+    if len(drawn) > len(graphs):
+        report.add_result("skipped-instances", len(drawn) - len(graphs))
     return _finish(report, [c_lower, c_iff], started)
 
 
@@ -246,11 +241,9 @@ def _suite_block_graphs(
     c_nm = Check("blockwise-nonmodular-count-equals-triple-scan")
     c_half = Check("nonmodular-triples-exceed-half-perimeter-by-half")
     c_pm = Check("pseudo-median-triples")
-    for _ in range(count):
-        G = random_block_graph(rng, max_n)
+    graphs = [random_block_graph(rng, max_n) for _ in range(count)]
+    for G, s3, cls in zip(graphs, sw3_batch(graphs), classify_batch(graphs)):
         decomp = block_decomposition(G)
-        s3 = steiner_wiener(G, 3)
-        cls = classify_triples(G)
         c_formula.record(sw3_block_formula(G, decomp) == 2 * s3, G)
         c_nm.record(nm_block_graph(G, decomp) == cls.nonmodular, G)
         ok_half, ok_pm = _median_free_checks(all_pairs_distances(G))
@@ -278,29 +271,25 @@ def _suite_products(*, max_size: int = 200, **_) -> Report:
     c_w = Check("product-wiener-identity")
     c_frac = Check("product-fractional-form-identity")
     c_mod = Check("product-of-modular-is-modular")
-    factors = _product_factors()
+    names, graphs = zip(*_product_factors())
     # W and SW_3 of each factor, computed once
-    indices = {name: (wiener_index(F), steiner_wiener(F, 3)) for name, F in factors}
-    for i, (name_a, A) in enumerate(factors):
-        w_a, s3_a = indices[name_a]
-        for name_b, B in factors[i:]:
-            if A.n * B.n > max_size:
-                continue
-            w_b, s3_b = indices[name_b]
-            P = cartesian_product(A, B)
-            detail = f"{name_a} x {name_b}"
-            formula = sw3_product_modular(A, B)
-            brute = steiner_wiener(P, 3)
-            c_sw3.record(formula == brute, P, detail)
-            wp = wiener_index(P)
-            c_w.record(wp == A.n**2 * w_b + B.n**2 * w_a, P, detail)
-            if A.n > 2 and B.n > 2:
-                fractional = (A.n * B.n - 2) * (
-                    Fraction(A.n**2, B.n - 2) * s3_b + Fraction(B.n**2, A.n - 2) * s3_a
-                )
-                c_frac.record(fractional == formula, P, detail)
-            if P.n <= 100:
-                c_mod.record(is_modular(P), P, detail)
+    w, s3 = [wiener_index(F) for F in graphs], sw3_batch(graphs)
+    pairs = [(i, j) for i, A in enumerate(graphs) for j in range(i, len(graphs))
+             if A.n * graphs[j].n <= max_size]
+    products = [cartesian_product(graphs[i], graphs[j]) for i, j in pairs]
+    modular = iter(is_modular_batch([P for P in products if P.n <= 100]))
+    for (i, j), P, brute in zip(pairs, products, sw3_batch(products)):
+        A, B, detail = graphs[i], graphs[j], f"{names[i]} x {names[j]}"
+        formula = sw3_product_modular(A, B)
+        c_sw3.record(formula == brute, P, detail)
+        c_w.record(wiener_index(P) == A.n**2 * w[j] + B.n**2 * w[i], P, detail)
+        if A.n > 2 and B.n > 2:
+            fractional = (A.n * B.n - 2) * (
+                Fraction(A.n**2, B.n - 2) * s3[j] + Fraction(B.n**2, A.n - 2) * s3[i]
+            )
+            c_frac.record(fractional == formula, P, detail)
+        if P.n <= 100:
+            c_mod.record(next(modular), P, detail)
     return _finish(Report(), [c_sw3, c_w, c_frac, c_mod], started)
 
 

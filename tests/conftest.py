@@ -12,6 +12,7 @@ import pkgutil
 import random
 from collections.abc import Iterator
 from itertools import combinations, permutations
+from math import comb
 
 import numpy as np
 import pytest
@@ -25,8 +26,9 @@ from swk.generators import (
     random_tree,
 )
 from swk.graphs import Graph, is_connected
-from swk.metric import interval
+from swk.metric import all_pairs_distances, interval
 from swk.steiner import steiner_distance_3
+from swk.structure import TripleClassification
 
 
 def enumerate_connected_graphs(n: int) -> Iterator[Graph]:
@@ -91,6 +93,40 @@ def bfs_runs(calls) -> list:
     """The distinct matrices among recorded calls: one per BFS run, since
     the recorded pairs keep every returned array alive."""
     return list({id(D): D for _, D in calls}.values())
+
+
+def degree(G: Graph, v: int) -> int:
+    return len(G.adjacency[v])
+
+
+def has_edge(G: Graph, u: int, v: int) -> bool:
+    return v in G.adjacency[u]
+
+
+def proved_hold(report) -> bool:
+    """Every row of a ``check_bounds`` report marked "proved" holds."""
+    return all(c.holds for c in report.checks if c.status == "proved")
+
+
+def sw3_by_triples(g) -> int:
+    """SW_3 as the sum of steiner_distance_3 over every triple."""
+    D = all_pairs_distances(g)
+    return sum(steiner_distance_3(D, a, b, c) for a, b, c in combinations(range(g.n), 3))
+
+
+def classify_by_median_sets(g) -> TripleClassification:
+    """classify_triples by one median_set per triple; each pair's interval
+    is computed once, as median_set would compute it."""
+    D = all_pairs_distances(g)
+    I = [[interval(D, u, v) for v in range(g.n)] for u in range(g.n)]
+    modular, unique = 0, True
+    for a, b, c in combinations(range(g.n), 3):
+        mset = I[a][b] & I[a][c] & I[b][c]
+        if mset:
+            modular += 1
+            unique = unique and mset.bit_count() == 1
+    total = comb(g.n, 3)
+    return TripleClassification(total, modular, total - modular, unique)
 
 
 def brute_interval(G: Graph, D, u: int, v: int) -> set[int]:
@@ -225,7 +261,7 @@ def walk_pseudo_median(G: Graph, D) -> bool:
     triangles = [
         (p, q, r)
         for p, q, r in combinations(range(n), 3)
-        if G.has_edge(p, q) and G.has_edge(p, r) and G.has_edge(q, r)
+        if has_edge(G, p, q) and has_edge(G, p, r) and has_edge(G, q, r)
     ]
     for triple in combinations(range(n), 3):
         medians = _median_mask(D, *triple)

@@ -29,7 +29,7 @@ from swk.blocks import BlockDecomposition
 from swk.generators import paw_graph, random_block_graph, random_tree
 from swk.graphs import Graph
 
-from conftest import enumerate_connected_graphs
+from conftest import degree, enumerate_connected_graphs
 
 
 def test_tree_blocks_are_edges():
@@ -38,7 +38,7 @@ def test_tree_blocks_are_edges():
     decomp = block_decomposition(t)
     assert len(decomp.blocks) == t.n - 1
     assert all(b.bit_count() == 2 for b in decomp.blocks)
-    internal = [v for v in range(t.n) if t.degree(v) >= 2]
+    internal = [v for v in range(t.n) if degree(t, v) >= 2]
     assert sorted(bit_list(decomp.cut_vertices)) == internal
 
 

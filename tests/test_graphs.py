@@ -39,7 +39,7 @@ from swk import (
 )
 from swk.generators import random_connected
 
-from conftest import bfs_connected, brute_cube, searchsorted_cube
+from conftest import bfs_connected, brute_cube, degree, has_edge, searchsorted_cube
 
 
 @st.composite
@@ -124,7 +124,7 @@ def test_graph_array_route_names_unsigned_ids_exactly():
 def test_edges_iterator_sorted():
     g = cycle_graph(4)
     assert list(g.edges()) == [(0, 1), (0, 3), (1, 2), (2, 3)]
-    assert g.has_edge(0, 3) and not g.has_edge(0, 2)
+    assert has_edge(g, 0, 3) and not has_edge(g, 0, 2)
 
 
 # -- edge list parser ---------------------------------------------------------
@@ -379,7 +379,7 @@ def test_fibonacci_cube_3_is_banner():
 def test_hypercube_structure():
     q3 = hypercube(3)
     assert (q3.n, q3.m) == (8, 12)
-    assert all(q3.degree(v) == 3 for v in range(8))
+    assert all(degree(q3, v) == 3 for v in range(8))
     assert q3.labels[5] == "101"
 
 
@@ -530,6 +530,23 @@ def test_lazy_graphs_pickle():
         D = all_pairs_distances(copy)
         assert all_pairs_distances(copy) is D and not D.flags.writeable
         assert np.array_equal(D, all_pairs_distances(Graph(G.n, G.edges())))
+
+
+def test_pickle_keeps_only_what_defines_a_graph():
+    # no lazy slot is filled, and the pickle is the CSR arrays and a header
+    G = fibonacci_cube(18)
+    data = pickle.dumps(G)
+    assert not any(_slot_is_set(G, name) for name in ("adjacency", "adj_bits", "labels"))
+    assert len(data) <= G.indptr.nbytes + G.indices.nbytes + 1024
+    copy = pickle.loads(data)
+    assert copy == G and copy.m == G.m and copy.labels == G.labels
+    # the kept distance matrix does not travel; the copy's own BFS gives the same
+    H = fibonacci_cube(12)
+    D = all_pairs_distances(H)
+    copy = pickle.loads(pickle.dumps(H))
+    assert copy._dist is None
+    assert np.array_equal(all_pairs_distances(copy), D)
+    assert np.array_equal(D, all_pairs_distances(Graph(H.n, H.edges())))
 
 
 def test_pair_built_graph_fills_adjacency_at_once():

@@ -41,7 +41,7 @@ from swk.generators import (
 )
 from swk.graphs import fibonacci_cube
 
-from conftest import connected_graphs, tree_steiner_distance
+from conftest import connected_graphs, proved_hold, sw3_by_triples, tree_steiner_distance
 
 
 # -- steiner_distance_3 -------------------------------------------------------
@@ -208,23 +208,17 @@ def test_dw_against_independent_references_on_large_graphs():
         assert steiner_distance_dw(t, ids) == tree_steiner_distance(t, ids)
 
 
-def _sw3_by_triples(g) -> int:
-    """SW_3 as the sum of steiner_distance_3 over every triple."""
-    D = all_pairs_distances(g)
-    return sum(steiner_distance_3(D, a, b, c) for a, b, c in combinations(range(g.n), 3))
-
-
 def test_sw3_matches_per_triple_sum_on_tiny_graphs():
     tiny = [Graph(0, []), Graph(1, []), path_graph(2), path_graph(3), complete_graph(3)]
     for g in tiny:
-        assert steiner_wiener(g, 3) == _sw3_by_triples(g)
+        assert steiner_wiener(g, 3) == sw3_by_triples(g)
 
 
 def test_sw3_matches_per_triple_sum_on_corpora(small_corpus):
     rng = random.Random(63)
     graphs = small_corpus + [random_connected(rng, 12) for _ in range(100)]
     for g in graphs:
-        assert steiner_wiener(g, 3) == _sw3_by_triples(g)
+        assert steiner_wiener(g, 3) == sw3_by_triples(g)
 
 
 def test_sw3_int8_int16_switch():
@@ -239,19 +233,19 @@ def test_sw3_int8_int16_switch():
     cases = [(path_graph(43), 42), (path_graph(44), 43), (broom(42), 42), (broom(43), 43)]
     for g, diameter in cases:
         assert all_pairs_distances(g).max() == diameter
-        assert steiner_wiener(g, 3) == _sw3_by_triples(g)
+        assert steiner_wiener(g, 3) == sw3_by_triples(g)
 
 
 def test_sw3_matches_per_triple_sum_across_blocks(monkeypatch):
     # both graphs split the a-range of most middle vertices into several runs
     big = [fibonacci_cube(10), random_connected_graph(150, 3352, random.Random(150))]
     for g in big:
-        assert steiner_wiener(g, 3) == _sw3_by_triples(g)
+        assert steiner_wiener(g, 3) == sw3_by_triples(g)
     # a tiny budget makes every run a single a
     monkeypatch.setattr(steiner, "_BLOCK", 1)
     rng = random.Random(64)
     for g in [random_connected(rng, 12) for _ in range(10)] + [path_graph(44)]:
-        assert steiner_wiener(g, 3) == _sw3_by_triples(g)
+        assert steiner_wiener(g, 3) == sw3_by_triples(g)
 
 
 def test_sw_k_range_checks():
@@ -308,7 +302,7 @@ def test_bounds_modular_graphs_meet_lower_bound_exactly():
         report = check_bounds(g, 3)
         row = next(c for c in report.checks if c.name == "mu3>=3/2*mu")
         assert row.holds and row.left == row.right
-        assert report.proved_hold
+        assert proved_hold(report)
 
 
 def test_bounds_status_labels():
@@ -326,7 +320,7 @@ def test_bounds_hold_on_random_corpus():
         g = random_connected(rng, 9)
         cache: dict[int, Fraction] = {}
         for k in range(3, min(5, g.n) + 1):
-            assert check_bounds(g, k, mu_cache=cache).proved_hold
+            assert proved_hold(check_bounds(g, k, mu_cache=cache))
 
 
 def test_bounds_range_check():

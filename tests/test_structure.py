@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
-from math import comb
 
 import pytest
 
@@ -18,7 +17,6 @@ from swk import (
     complete_graph,
     cycle_graph,
     hypercube,
-    interval,
     is_median,
     is_modular,
     is_modular_triple,
@@ -35,7 +33,7 @@ from swk.generators import grid_graph, random_connected, random_connected_graph,
 from swk.graphs import Graph, fibonacci_cube
 from swk.structure import MAX_TRIPLE_N, TripleClassification, _scan_guard
 
-from conftest import enumerate_connected_graphs, is_bipartite
+from conftest import classify_by_median_sets, enumerate_connected_graphs, is_bipartite
 
 
 def test_median_set_tree_unique():
@@ -120,23 +118,8 @@ def test_classification_counts_match_per_triple_scan(small_corpus):
         assert cls.nonmodular == cls.total - modular
 
 
-def _classify_by_median_sets(g) -> TripleClassification:
-    """classify_triples by one median_set per triple; each pair's interval
-    is computed once, as median_set would compute it."""
-    D = all_pairs_distances(g)
-    I = [[interval(D, u, v) for v in range(g.n)] for u in range(g.n)]
-    modular, unique = 0, True
-    for a, b, c in combinations(range(g.n), 3):
-        mset = I[a][b] & I[a][c] & I[b][c]
-        if mset:
-            modular += 1
-            unique = unique and mset.bit_count() == 1
-    total = comb(g.n, 3)
-    return TripleClassification(total, modular, total - modular, unique)
-
-
 def _assert_scan_matches_reference(g) -> None:
-    expected = _classify_by_median_sets(g)
+    expected = classify_by_median_sets(g)
     if g.n >= 3:
         assert classify_triples(g) == expected
     assert is_modular(g) == (expected.nonmodular == 0)

