@@ -4,12 +4,12 @@ The Steiner distance d(S) of a terminal set S is the edge count of a
 minimum connected subgraph spanning S (always a tree).  Production routes:
 a median-candidate scan for |S| = 3 (a Steiner tree on three terminals has
 at most one branch vertex, so d(S) = min_v sum of distances to v), blocked
-over all triples of a stack of same-order graphs for SW_3 (one graph, or
-each order's graphs in ``sw3_batch``), and one Dreyfus-Wagner program over
-(terminal subset, root) states for larger S, run once per k-subset for
-SW_k.  The superset-scan oracle and the all-subsets table are exponential
-references that share no code with them.  The mean-Steiner bounds, the
-SW_3 modular bound and the SW_3 product formula are built on these values.
+over all triples of a stack of same-order graphs for SW_3, and one
+Dreyfus-Wagner program over (terminal subset, root) states for larger S,
+run once per k-subset for SW_k.  The superset-scan oracle and the
+all-subsets table are exponential references that share no code with
+them.  The mean-Steiner bounds, the SW_3 modular bound and the SW_3 product
+formula are built on these values.
 
 Terminal sets are accepted either as iterables of vertex ids or as int
 bitmasks; duplicates collapse.
@@ -17,7 +17,7 @@ bitmasks; duplicates collapse.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -29,7 +29,7 @@ from .bitset import as_vertex_list, mask_of
 from .errors import PreconditionError
 from .graphs import Graph
 from .metric import all_pairs_distances, wiener_index
-from .structure import _by_order, _stack, is_modular
+from .structure import _stack, is_modular
 
 # Largest terminal set or k: the DP has 2^k * n states per subset.
 K_MAX = 12
@@ -165,10 +165,9 @@ def _sw3(D: np.ndarray) -> list[int]:
     the median-candidate scan d({a,b,c}) = min_v D[v,a]+D[v,b]+D[v,c].
 
     Per middle vertex b, one numpy step covers a run of a < b against every
-    c > b of every graph, about _BLOCK elements (at least one a).  D is cast
-    to int8 when 3 * max(D) <= 127, else int16.  Each step writes its minima
-    into a (g, about _BLOCK / g) buffer, summed per graph in int64 only when
-    full, as a sum along an axis costs more per call than a whole-array one.
+    c > b of every graph, about _BLOCK elements (at least one a), in int8 if
+    3 * max(D) <= 127, else int16.  Steps write their minima into a (g, about
+    _BLOCK / g) buffer, summed per graph in int64 only when full (few sums).
     """
     g, n = D.shape[:2]
     E = D.astype(np.int8 if 3 * int(D.max(initial=0)) <= 127 else np.int16)
@@ -189,11 +188,6 @@ def _sw3(D: np.ndarray) -> list[int]:
             used += size
     totals += buffer[:, :used].sum(axis=1, dtype=np.int64)
     return totals.tolist()
-
-
-def sw3_batch(graphs: Sequence[Graph]) -> list[int]:
-    """``steiner_wiener(G, 3)`` of each graph, scanned by order in stacks."""
-    return _by_order(_sw3, graphs)
 
 
 def steiner_wiener(G: Graph, k: int) -> int:

@@ -2,11 +2,10 @@
 
 A triple {a, b, c} is modular when the three pairwise geodesic intervals
 share a vertex (a median).  A graph is modular when every triple is, and
-median when that median is always unique.  One kernel scans all triples:
-it packs every interval into uint64 words, then popcounts the blocked AND
-of I(a, b), I(a, c) and I(b, c), over a stack of same-order graphs: the
-``*_batch`` functions stack each order's graphs, which spreads numpy's fixed
-cost per call on small graphs.  ``median_set`` is the per-triple reference.
+median when that median is always unique.  One kernel scans all triples of
+a stack of same-order graphs: it packs every interval into uint64 words,
+then popcounts the blocked AND of I(a,b), I(a,c) and I(b,c).  ``median_set``
+is the per-triple reference.
 """
 
 from __future__ import annotations
@@ -52,9 +51,8 @@ def _scan_guard(n: int) -> None:
 
 
 def _interval_words(D: np.ndarray) -> np.ndarray:
-    """(ceil(n/64), g, n, n) uint64 for a stack D of g distance matrices: bit
-    v of the words at [:, i, u, x] is set iff v lies on a shortest u-x path
-    of graph i.  Built about _BLOCK tests (at least one row u) at a time."""
+    """(ceil(n/64), g, n, n) uint64 for g stacked distance matrices: bit v at
+    [:, i, u, x] is set iff v lies on a shortest u-x path of graph i."""
     g, n = D.shape[:2]
     words = -(-n // 64)
     # padding columns v >= n hold -1, so their test D[u,v] + D[v,x] == D[u,x] fails
@@ -69,71 +67,40 @@ def _interval_words(D: np.ndarray) -> np.ndarray:
     return out
 
 
-def _median_counts(D: np.ndarray, into: Callable | None = None) -> Iterator[np.ndarray]:
+def _median_counts(D: np.ndarray) -> Iterator[np.ndarray]:
     """Median-set sizes |I(a,b) & I(a,c) & I(b,c)| of all triples a < b < c of
-    each graph in a stack D of g distance matrices of order n.
-
-    Per middle vertex b, a block covers rows a < b (at least one a) and
-    columns c > b of every graph, about _BLOCK words, and is yielded as a
-    (g, rows, columns) array of small ints, written where ``into(shape)``
-    says if given.  Consumers may stop early.
-    """
+    g stacked graphs: per middle vertex b, (g, rows a < b, columns c > b)
+    blocks of about _BLOCK words (at least one a).  Consumers may stop early."""
     g, n = D.shape[:2]
     I = _interval_words(D)
     for b in range(1, n - 1):
-        Ib = I[:, :, b, None]
         step = max(1, _BLOCK // (g * I.shape[0] * (n - b - 1)))
         for lo in range(0, b, step):
             # I is symmetric, so a and c may swap; the longer run goes innermost
             a, c = slice(lo, min(b, lo + step)), slice(b + 1, n)
             rows, cols = (c, a) if a.stop - lo > n - b - 1 else (a, c)
             R = I[:, :, rows]
-            M = R[:, :, :, b, None] & R[:, :, :, cols]
-            M &= Ib[:, :, :, cols]
-            out = None if into is None else into(M.shape[1:])
-            if len(M) == 1:  # one word per interval: nothing to sum
-                yield np.bitwise_count(M[0], out=out)
-            else:
-                yield np.bitwise_count(M).sum(axis=0, dtype=np.int16, out=out)
+            M = np.bitwise_count(R[:, :, :, b, None] & R[:, :, :, cols] & I[:, :, b, None, cols])
+            yield M[0] if len(M) == 1 else M.sum(axis=0, dtype=np.int16)  # summed over words
 
 
 def _classify(D: np.ndarray) -> list[TripleClassification]:
-    """Blocks are written into a (g, about _BLOCK / 4g) int16 buffer, 64 KiB in
-    all, and reduced per graph only when it is full, as a reduction along an
-    axis costs more per call than a whole-array one (with one graph they run
-    over the whole buffer, several times faster still).  A 256 KiB buffer
-    measured several percent slower per call on one graph."""
     g, n = D.shape[:2]
     if n < 3:
         raise PreconditionError("triple classification needs at least 3 vertices")
-    axis = 1 if g > 1 else None
-    modular, most = np.zeros(g, dtype=np.int64), np.zeros(g, dtype=np.int16)
-    buffer, used = np.empty((g, max(n, _BLOCK // (4 * g))), dtype=np.int16), 0
-
-    def reduce() -> None:
-        np.add(modular, np.count_nonzero(buffer[:, :used], axis=axis), out=modular)
-        np.maximum(most, buffer[:, :used].max(axis=axis, initial=0), out=most)
-
-    def into(shape: tuple[int, ...]) -> np.ndarray:
-        nonlocal used
-        size = shape[1] * shape[2]
-        if used + size > buffer.shape[1]:
-            reduce()
-            used = 0
-        used += size
-        return buffer[:, used - size:used].reshape(shape)
-
-    for _ in _median_counts(D, into):
-        pass
-    reduce()
-    total = comb(n, 3)
-    return [TripleClassification(total, m, total - m, k <= 1)
-            for m, k in zip(modular.tolist(), most.tolist())]
+    axis = (1, 2) if g > 1 else None  # counting a whole block costs less per call
+    modular, unique, some = 0, np.ones(g, dtype=bool), True  # some: unique.any()
+    for counts in _median_counts(D):
+        modular += np.count_nonzero(counts, axis=axis)
+        if some and counts.max() > 1:  # per graph only on a block that fails somewhere
+            unique &= (counts <= 1).all(axis=(1, 2))
+            some = unique.any()
+    return [TripleClassification(comb(n, 3), m, comb(n, 3) - m, u)
+            for m, u in zip(np.atleast_1d(modular).tolist(), unique.tolist())]
 
 
 def _every_triple(D: np.ndarray, unique: bool = False) -> list[bool]:
-    """Whether every triple has a median (exactly one if ``unique``), per graph;
-    stops once every graph has failed."""
+    """Per graph, whether every triple has a median (one if ``unique``); stops once all fail."""
     holds = np.ones(D.shape[0], dtype=bool)
     for counts in _median_counts(D):
         ok = counts == 1 if unique else counts
@@ -150,7 +117,7 @@ def _stack(G: Graph) -> np.ndarray:
 
 
 def _by_order(kernel: Callable[[np.ndarray], list], graphs: Sequence[Graph]) -> list:
-    """``kernel`` of each order's stacked graphs; results in the order of ``graphs``."""
+    """``kernel`` over each order's graphs as one stack; results in the order of ``graphs``."""
     results: list = [None] * len(graphs)
     for n in {G.n for G in graphs}:
         ids = [i for i, G in enumerate(graphs) if G.n == n]
@@ -165,24 +132,14 @@ def classify_triples(G: Graph) -> TripleClassification:
     return _classify(_stack(G))[0]
 
 
-def classify_batch(graphs: Sequence[Graph]) -> list[TripleClassification]:
-    """:func:`classify_triples` of each graph, in stacks of one order."""
-    return _by_order(_classify, graphs)
-
-
 def is_modular(G: Graph) -> bool:
     """True iff every vertex triple has a median; stops at the first failing block."""
-    return _every_triple(_stack(G))[0]
-
-
-def is_modular_batch(graphs: Sequence[Graph]) -> list[bool]:
-    """:func:`is_modular` of each graph, in stacks of one order."""
-    return _by_order(_every_triple, graphs)
+    return G.n < 3 or _every_triple(_stack(G))[0]
 
 
 def is_median(G: Graph) -> bool:
     """True iff every vertex triple has exactly one median."""
-    return _every_triple(_stack(G), unique=True)[0]
+    return G.n < 3 or _every_triple(_stack(G), unique=True)[0]
 
 
 def steiner_via_2intersection(

@@ -3,8 +3,8 @@ brute-force recomputation on seeded corpora.
 
 Each suite aggregates named properties over many instances; the first
 failing instance (if any) is serialized as graph6 so it can be replayed.
-The small-graph suites draw every instance first, run the triple kernels
-once per order over a stack, and record their checks in draw order.
+The small-graph suites draw every instance first (memory grows with the
+count), scan each order's graphs as one stack and check in draw order.
 The block-graphs suite's half-perimeter and pseudo-median checks are numpy
 scans over the distance matrix alone: the same suite tests the triple
 kernels of ``structure`` and ``steiner``, so its own checks share no code
@@ -56,15 +56,15 @@ from .metric import all_pairs_distances, wiener_index
 from .report import Report
 from .steiner import (
     K_MAX,
+    _sw3,
     check_bounds,
     steiner_distance_3,
     steiner_distance_dw,
     steiner_distance_oracle,
     steiner_wiener,
-    sw3_batch,
     sw3_product_modular,
 )
-from .structure import classify_batch, is_modular_batch
+from .structure import _by_order, _classify, _every_triple
 
 SUITE_NAMES = (
     "trees",
@@ -141,7 +141,7 @@ def _suite_trees(*, count: int = 200, max_n: int = 12, seed: int = 42, **_) -> R
     c_median = Check("tree-is-median-with-no-nonmodular-triples")
     c_block = Check("tree-block-formula-agrees")
     trees = [random_tree(rng.randint(3, max_n), rng) for _ in range(count)]
-    for T, s3, cls in zip(trees, sw3_batch(trees), classify_batch(trees)):
+    for T, s3, cls in zip(trees, _by_order(_sw3, trees), _by_order(_classify, trees)):
         c_ident.record(2 * s3 == (T.n - 2) * wiener_index(T), T)
         c_median.record(cls.nonmodular == 0 and cls.median_unique, T)
         c_block.record(sw3_block_formula(T) == 2 * s3, T)
@@ -176,8 +176,8 @@ def _suite_modular_bound(
     c_iff = Check("equality-iff-modular")
     drawn = list(_modular_bound_corpus(count, max_n, seed, corpus))
     graphs = [G for G in drawn if G.n >= 3 and is_connected(G)]
-    modular = is_modular_batch(graphs)
-    for G, s3, mod in zip(graphs, sw3_batch(graphs), modular):
+    modular = _by_order(_every_triple, graphs)
+    for G, s3, mod in zip(graphs, _by_order(_sw3, graphs), modular):
         twice_sw3, scaled_wiener = 2 * s3, (G.n - 2) * wiener_index(G)
         c_lower.record(twice_sw3 >= scaled_wiener, G)
         c_iff.record((twice_sw3 == scaled_wiener) == mod, G)
@@ -242,7 +242,7 @@ def _suite_block_graphs(
     c_half = Check("nonmodular-triples-exceed-half-perimeter-by-half")
     c_pm = Check("pseudo-median-triples")
     graphs = [random_block_graph(rng, max_n) for _ in range(count)]
-    for G, s3, cls in zip(graphs, sw3_batch(graphs), classify_batch(graphs)):
+    for G, s3, cls in zip(graphs, _by_order(_sw3, graphs), _by_order(_classify, graphs)):
         decomp = block_decomposition(G)
         c_formula.record(sw3_block_formula(G, decomp) == 2 * s3, G)
         c_nm.record(nm_block_graph(G, decomp) == cls.nonmodular, G)
@@ -273,12 +273,12 @@ def _suite_products(*, max_size: int = 200, **_) -> Report:
     c_mod = Check("product-of-modular-is-modular")
     names, graphs = zip(*_product_factors())
     # W and SW_3 of each factor, computed once
-    w, s3 = [wiener_index(F) for F in graphs], sw3_batch(graphs)
+    w, s3 = [wiener_index(F) for F in graphs], _by_order(_sw3, graphs)
     pairs = [(i, j) for i, A in enumerate(graphs) for j in range(i, len(graphs))
              if A.n * graphs[j].n <= max_size]
     products = [cartesian_product(graphs[i], graphs[j]) for i, j in pairs]
-    modular = iter(is_modular_batch([P for P in products if P.n <= 100]))
-    for (i, j), P, brute in zip(pairs, products, sw3_batch(products)):
+    modular = iter(_by_order(_every_triple, [P for P in products if P.n <= 100]))
+    for (i, j), P, brute in zip(pairs, products, _by_order(_sw3, products)):
         A, B, detail = graphs[i], graphs[j], f"{names[i]} x {names[j]}"
         formula = sw3_product_modular(A, B)
         c_sw3.record(formula == brute, P, detail)

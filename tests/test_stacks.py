@@ -1,9 +1,10 @@
 """Triple kernels over stacks of same-order graphs.
 
-``sw3_batch``, ``classify_batch`` and ``is_modular_batch`` group graphs by
-order and scan each order's distance matrices as one stack.  Each result
-must equal the per-graph call, and the per-graph call must equal the
-per-triple references (``steiner_distance_3`` sums and ``median_set``).
+``structure._by_order`` groups graphs by order and runs a kernel (``_sw3``,
+``_classify`` or ``_every_triple``) over each order's distance matrices as
+one stack.  Each result must equal the per-graph call, and the per-graph
+call must equal the per-triple references (``steiner_distance_3`` sums and
+``median_set``).
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from swk.graphs import (
     path_graph,
     star_graph,
 )
-from swk.steiner import steiner_wiener, sw3_batch
-from swk.structure import classify_batch, classify_triples, is_modular, is_modular_batch
+from swk.steiner import _sw3, steiner_wiener
+from swk.structure import _by_order, _classify, _every_triple, classify_triples, is_median, is_modular
 
 from conftest import classify_by_median_sets, sw3_by_triples
 
@@ -34,6 +35,18 @@ def _broom(length: int) -> Graph:
     edges = [(i, i + 1) for i in range(length - 1)]
     edges += [(length - 1, length + j) for j in range(3)]
     return Graph(length + 3, edges)
+
+
+def sw3_batch(graphs):
+    return _by_order(_sw3, graphs)
+
+
+def classify_batch(graphs):
+    return _by_order(_classify, graphs)
+
+
+def is_modular_batch(graphs):
+    return _by_order(_every_triple, graphs)
 
 
 def _assert_stack_matches(graphs) -> None:
@@ -81,8 +94,8 @@ def test_stack_switches_to_int16_for_one_long_graph():
     _assert_stack_matches(graphs)
 
 
-def test_one_element_blocks_wrap_the_buffers(monkeypatch):
-    # every block is then one a, and the buffers fill and swap many times
+def test_one_element_blocks_wrap_the_buffer(monkeypatch):
+    # every block is then one a, and the SW_3 buffer fills and is summed many times
     monkeypatch.setattr(steiner, "_BLOCK", 1)
     monkeypatch.setattr(structure, "_BLOCK", 1)
     rng = random.Random(74)
@@ -119,3 +132,23 @@ def test_groups_below_three_vertices_and_empty_lists():
     with pytest.raises(PreconditionError, match="at least 3 vertices"):
         classify_batch(tiny)
     assert sw3_batch([]) == classify_batch([]) == is_modular_batch([]) == []
+
+
+def test_blocks_wider_than_one_row_on_large_stacks(monkeypatch):
+    # 100 copies of a 40-vertex path: blocks of several rows per graph,
+    # each far wider than _BLOCK / (4 * 100) elements
+    stack = [path_graph(40)] * 100 + [cycle_graph(40), complete_bipartite_graph(20, 20)]
+    assert classify_batch(stack) == [classify_by_median_sets(G) for G in stack]
+    assert sw3_batch(stack) == [sw3_by_triples(G) for G in stack]
+    # a middle block size: several rows, blocks of different widths per stack
+    monkeypatch.setattr(steiner, "_BLOCK", 256)
+    monkeypatch.setattr(structure, "_BLOCK", 256)
+    rng = random.Random(75)
+    graphs = [random_connected(rng, 12, min_n=12) for _ in range(30)] + [path_graph(12)] * 5
+    _assert_stack_matches(graphs)
+
+
+def test_disconnected_graphs_below_three_vertices_are_modular():
+    # no triple to scan, so no distances are needed
+    for G in (Graph(2, []), Graph(1, []), Graph(0, [])):
+        assert is_modular(G) and is_median(G)

@@ -100,12 +100,15 @@ def test_trees_suite_records_checks_in_draw_order(monkeypatch):
     # counted against, and reported as, the draw it belongs to
     import swk.verify
 
-    exact = swk.verify.sw3_batch
+    exact = swk.verify._by_order
 
-    def off_by_one(graphs):
-        return [s3 + (i in (2, 6)) for i, s3 in enumerate(exact(graphs))]
+    def off_by_one(kernel, graphs):
+        results = exact(kernel, graphs)
+        if kernel is not swk.verify._sw3:
+            return results
+        return [s3 + (i in (2, 6)) for i, s3 in enumerate(results)]
 
-    monkeypatch.setattr(swk.verify, "sw3_batch", off_by_one)
+    monkeypatch.setattr(swk.verify, "_by_order", off_by_one)
     report = run_suite("trees", count=10)
     rng = random.Random(42)  # the suite's default seed and draws
     draws = [random_tree(rng.randint(3, 12), rng) for _ in range(10)]
