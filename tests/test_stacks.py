@@ -135,11 +135,12 @@ def test_groups_below_three_vertices_and_empty_lists():
 
 
 def test_blocks_wider_than_one_row_on_large_stacks(monkeypatch):
-    # 100 copies of a 40-vertex path: blocks of several rows per graph,
-    # each far wider than _BLOCK / (4 * 100) elements
-    stack = [path_graph(40)] * 100 + [cycle_graph(40), complete_bipartite_graph(20, 20)]
-    assert classify_batch(stack) == [classify_by_median_sets(G) for G in stack]
-    assert sw3_batch(stack) == [sw3_by_triples(G) for G in stack]
+    # 102 graphs of order 40: blocks of up to 20 x 19 triples per graph
+    distinct = [path_graph(40), cycle_graph(40), complete_bipartite_graph(20, 20)]
+    stack = distinct[:1] * 100 + distinct[1:]
+    cls, sw3 = [classify_by_median_sets(G) for G in distinct], [sw3_by_triples(G) for G in distinct]
+    assert classify_batch(stack) == cls[:1] * 100 + cls[1:]
+    assert sw3_batch(stack) == sw3[:1] * 100 + sw3[1:]
     # a middle block size: several rows, blocks of different widths per stack
     monkeypatch.setattr(steiner, "_BLOCK", 256)
     monkeypatch.setattr(structure, "_BLOCK", 256)
