@@ -7,12 +7,21 @@ deleting the edges of one block splits the graph, and a triple is
 non-modular exactly when it lands in three different components for
 exactly one block.  That turns the Steiner 3-Wiener index into pure
 counting: 2*SW_3 = (n-2)*W + nm.
+
+One lowpoint DFS on a vertex stack (Hopcroft & Tarjan, CACM 16(6), 1973)
+gives every number the formulas need.  A vertex w's ``hang`` is 1 plus the
+subtree sizes of its DFS children that start blocks of their own: deleting
+a block's edges leaves each member w but its top one (nearest the DFS root)
+in a component of hang[w] vertices, and the top one with the rest.  Every
+edge lies in exactly one block, and a block on s vertices has at most
+C(s, 2) edges, so the edge count alone tells whether every block is a clique.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from math import comb
 
 from .bitset import mask_of
 from .errors import PreconditionError
@@ -24,100 +33,77 @@ from .metric import wiener_index
 class BlockDecomposition:
     blocks: tuple[int, ...]  # vertex bitmask per block
     cut_vertices: int  # bitmask
-    block_of_edge: dict[tuple[int, int], int]  # (u, v) with u < v -> block index
+    sizes: tuple[tuple[int, ...], ...]  # per block and sorted member: its component's size
 
 
 def block_decomposition(G: Graph) -> BlockDecomposition:
-    """Lowpoint DFS block decomposition.
+    """Lowpoint DFS block decomposition with component sizes.
 
-    Blocks come out ordered by their sorted vertex tuples, so the result is
-    reproducible regardless of traversal order.  Every edge belongs to
-    exactly one block; two blocks share at most a cut vertex.  The DFS from
-    vertex 0 doubles as the connectivity check.
+    When v finishes with low[v] >= disc[u], u its DFS parent, the vertices
+    above v on the stack, v included, and u form a block, and u's hang grows
+    by v's subtree.  Every popped member w has finished, so hang[w] (1 plus
+    the subtree sizes of w's children c with low[c] >= disc[w]) is final:
+    it is w's component once the block's edges go, and u's is n minus their
+    sum.  Blocks come out ordered by their sorted vertex tuples, so the
+    result is reproducible regardless of traversal order; the cut vertices
+    are those in two or more blocks.  The DFS from vertex 0 doubles as the
+    connectivity check.
     """
     n = G.n
     if n <= 1:
-        return BlockDecomposition((), 0, {})
-
-    disc = [-1] * n
-    low = [0] * n
-    parent = [-1] * n
-    edge_stack: list[tuple[int, int]] = []
-    raw_blocks: list[list[tuple[int, int]]] = []
-    cut = 0
-    root_children = 0
-
-    timer = 0
-    disc[0] = low[0] = timer
-    timer += 1
+        return BlockDecomposition((), 0, ())
     adjacency = G.adjacency
-    call: list[tuple[int, object]] = [(0, iter(adjacency[0]))]
-    while call:
-        v, it = call[-1]
-        advanced = False
-        for w in it:  # type: ignore[union-attr]
+    disc, low = [0] + [-1] * (n - 1), [0] * n
+    size, hang = [1] * n, [1] * n
+    timer = 1
+    stack = [0]  # visited vertices whose block is not yet popped
+    call = [(0, iter(adjacency[0]), 0)]  # (vertex, neighbours left, its stack index)
+    found = []  # (sorted members, their sizes) per block
+    while True:
+        v, it, at = call[-1]
+        for w in it:
             if disc[w] == -1:
-                parent[w] = v
-                edge_stack.append((v, w))
                 disc[w] = low[w] = timer
                 timer += 1
-                call.append((w, iter(adjacency[w])))
-                if v == 0:
-                    root_children += 1
-                advanced = True
+                call.append((w, iter(adjacency[w]), len(stack)))
+                stack.append(w)
                 break
-            if w != parent[v] and disc[w] < disc[v]:
-                edge_stack.append((v, w))
-                if disc[w] < low[v]:
-                    low[v] = disc[w]
-        if not advanced:
+            if disc[w] < low[v]:  # v's parent too: low[v] = its disc still pops there
+                low[v] = disc[w]
+        else:
             call.pop()
-            if call:
-                u = call[-1][0]
-                if low[v] < low[u]:
-                    low[u] = low[v]
-                if low[v] >= disc[u]:
-                    comp = []
-                    while True:
-                        e = edge_stack.pop()
-                        comp.append(e)
-                        if e == (u, v):
-                            break
-                    raw_blocks.append(comp)
-                    if u != 0:
-                        cut |= 1 << u
+            if not call:
+                break
+            u = call[-1][0]
+            size[u] += size[v]
+            if low[v] < low[u]:  # so low[v] < disc[u]: no block pops at u
+                low[u] = low[v]
+            elif low[v] >= disc[u]:
+                hang[u] += size[v]
+                members = stack[at:] + [u]
+                del stack[at:]
+                sizes = [hang[w] for w in members[:-1]]
+                sizes.append(n - sum(sizes))
+                members, sizes = zip(*sorted(zip(members, sizes)))
+                found.append((members, sizes))
     if timer < n:
         raise PreconditionError("graph must be connected")
-    if root_children > 1:
-        cut |= 1
-    assert not edge_stack, "edge stack not drained"
 
-    keyed = []
-    for comp in raw_blocks:
-        verts = tuple(sorted({x for e in comp for x in e}))
-        keyed.append((verts, comp))
-    keyed.sort(key=lambda kv: kv[0])
-    blocks = []
-    block_of_edge: dict[tuple[int, int], int] = {}
-    for idx, (verts, comp) in enumerate(keyed):
-        blocks.append(mask_of(verts))
-        for u, v in comp:
-            block_of_edge[(u, v) if u < v else (v, u)] = idx
-    return BlockDecomposition(tuple(blocks), cut, block_of_edge)
+    found.sort(key=lambda block: block[0])
+    blocks = tuple(mask_of(members) for members, _ in found)
+    seen = cut = 0
+    for b in blocks:
+        cut |= seen & b
+        seen |= b
+    return BlockDecomposition(blocks, cut, tuple(sizes for _, sizes in found))
 
 
 def is_block_graph(G: Graph, decomp: BlockDecomposition | None = None) -> bool:
-    """True iff every block induces a complete subgraph."""
+    """True iff every block induces a complete subgraph: the edge count
+    equals the sum of C(|B|, 2) over blocks B."""
     if decomp is None:
         decomp = block_decomposition(G)
-    counts = [0] * len(decomp.blocks)
-    for idx in decomp.block_of_edge.values():
-        counts[idx] += 1
-    for bmask, count in zip(decomp.blocks, counts):
-        s = bmask.bit_count()
-        if count != s * (s - 1) // 2:
-            return False
-    return True
+    return G.m == sum(comb(len(sizes), 2) for sizes in decomp.sizes)
 
 
 def n3_of_components(sizes: Sequence[int]) -> int:
@@ -135,43 +121,13 @@ def n3_of_components(sizes: Sequence[int]) -> int:
     return e3
 
 
-def _component_sizes_without_block(
-    G: Graph, decomp: BlockDecomposition, skip: int
-) -> list[int]:
-    # Deletes block edges virtually: the BFS just refuses to cross them.
-    boe, adjacency = decomp.block_of_edge, G.adjacency
-    seen = bytearray(G.n)
-    sizes = []
-    for s0 in range(G.n):
-        if seen[s0]:
-            continue
-        seen[s0] = 1
-        stack = [s0]
-        count = 0
-        while stack:
-            v = stack.pop()
-            count += 1
-            for w in adjacency[v]:
-                if not seen[w]:
-                    key = (v, w) if v < w else (w, v)
-                    if boe[key] == skip:
-                        continue
-                    seen[w] = 1
-                    stack.append(w)
-        sizes.append(count)
-    return sizes
-
-
 def nm_block_graph(G: Graph, decomp: BlockDecomposition | None = None) -> int:
     """Non-modular triple count of a block graph, one block removal at a time."""
     if decomp is None:
         decomp = block_decomposition(G)
     if not is_block_graph(G, decomp):
         raise PreconditionError("not a block graph (a block is not a clique)")
-    return sum(
-        n3_of_components(_component_sizes_without_block(G, decomp, i))
-        for i in range(len(decomp.blocks))
-    )
+    return sum(n3_of_components(sizes) for sizes in decomp.sizes)
 
 
 def sw3_block_formula(G: Graph, decomp: BlockDecomposition | None = None) -> int:

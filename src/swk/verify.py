@@ -3,8 +3,8 @@ brute-force recomputation on seeded corpora.
 
 Each suite aggregates named properties over many instances; the first
 failing instance (if any) is serialized as graph6 so it can be replayed.
-The small-graph suites draw every instance first (memory grows with the
-count), scan each order's graphs as one stack and check in draw order.
+The small-graph suites draw ``_CHUNK`` instances at a time (bounded memory),
+scan each order's graphs in a chunk as one stack and check in draw order.
 The block-graphs suite's half-perimeter and pseudo-median checks are numpy
 scans over the distance matrix alone: the same suite tests the triple
 kernels of ``structure`` and ``steiner``, so its own checks share no code
@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import chain, combinations, islice, permutations
 
 import numpy as np
 
@@ -65,6 +65,8 @@ from .steiner import (
     sw3_product_modular,
 )
 from .structure import _by_order, _classify, _every_triple
+
+_CHUNK = 1024  # draws held at once by the trees, modular-bound and block-graphs suites
 
 SUITE_NAMES = (
     "trees",
@@ -126,6 +128,13 @@ def _require_max_n(max_n: int, least: int) -> None:
         raise PreconditionError(f"--max-n must be at least {least} for this suite, got {max_n}")
 
 
+def _scan(draws, *kernels):
+    """(graph, its result of each kernel) in draw order, for an iterator of
+    graphs; each kernel runs once per order over _CHUNK draws at a time."""
+    while graphs := list(islice(draws, _CHUNK)):
+        yield from zip(graphs, *(_by_order(kernel, graphs) for kernel in kernels))
+
+
 def _finish(report: Report, checks: list[Check], started: float) -> Report:
     for check in checks:
         check.add_to(report)
@@ -140,8 +149,8 @@ def _suite_trees(*, count: int = 200, max_n: int = 12, seed: int = 42, **_) -> R
     c_ident = Check("tree-double-sw3-equals-(n-2)-wiener")
     c_median = Check("tree-is-median-with-no-nonmodular-triples")
     c_block = Check("tree-block-formula-agrees")
-    trees = [random_tree(rng.randint(3, max_n), rng) for _ in range(count)]
-    for T, s3, cls in zip(trees, _by_order(_sw3, trees), _by_order(_classify, trees)):
+    draws = (random_tree(rng.randint(3, max_n), rng) for _ in range(count))
+    for T, s3, cls in _scan(draws, _sw3, _classify):
         c_ident.record(2 * s3 == (T.n - 2) * wiener_index(T), T)
         c_median.record(cls.nonmodular == 0 and cls.median_unique, T)
         c_block.record(sw3_block_formula(T) == 2 * s3, T)
@@ -149,21 +158,17 @@ def _suite_trees(*, count: int = 200, max_n: int = 12, seed: int = 42, **_) -> R
 
 
 def _modular_bound_corpus(count, max_n, seed, corpus):
+    """(iterator of graphs, how many): the corpus file's graphs, or the
+    curated graphs followed by count seeded draws."""
     if corpus is not None:
-        for G in read_graph6_file(corpus):
-            yield G
-        return
-    for G in curated_modular():
-        yield G
-    for G in curated_nonmodular():
-        yield G
+        graphs = read_graph6_file(corpus)
+        return iter(graphs), len(graphs)
+    curated = curated_modular() + curated_nonmodular()
     rng = random.Random(seed)
-    for _ in range(count):
-        # trees guarantee the equality direction shows up in the sample
-        if rng.random() < 0.2:
-            yield random_tree(rng.randint(3, max_n), rng)
-        else:
-            yield random_connected(rng, max_n)
+    # trees guarantee the equality direction shows up in the sample
+    draws = (random_tree(rng.randint(3, max_n), rng) if rng.random() < 0.2
+             else random_connected(rng, max_n) for _ in range(count))
+    return chain(curated, draws), len(curated) + count
 
 
 def _suite_modular_bound(
@@ -174,18 +179,19 @@ def _suite_modular_bound(
     started = time.perf_counter()
     c_lower = Check("double-sw3-at-least-(n-2)-wiener")
     c_iff = Check("equality-iff-modular")
-    drawn = list(_modular_bound_corpus(count, max_n, seed, corpus))
-    graphs = [G for G in drawn if G.n >= 3 and is_connected(G)]
-    modular = _by_order(_every_triple, graphs)
-    for G, s3, mod in zip(graphs, _by_order(_sw3, graphs), modular):
+    draws, drawn = _modular_bound_corpus(count, max_n, seed, corpus)
+    kept = (G for G in draws if G.n >= 3 and is_connected(G))
+    modular = 0
+    for G, s3, mod in _scan(kept, _sw3, _every_triple):
         twice_sw3, scaled_wiener = 2 * s3, (G.n - 2) * wiener_index(G)
         c_lower.record(twice_sw3 >= scaled_wiener, G)
         c_iff.record((twice_sw3 == scaled_wiener) == mod, G)
+        modular += mod
     report = Report()
-    report.add_result("modular-instances", sum(modular))
-    report.add_result("nonmodular-instances", len(graphs) - sum(modular))
-    if len(drawn) > len(graphs):
-        report.add_result("skipped-instances", len(drawn) - len(graphs))
+    report.add_result("modular-instances", modular)
+    report.add_result("nonmodular-instances", c_lower.count - modular)
+    if drawn > c_lower.count:
+        report.add_result("skipped-instances", drawn - c_lower.count)
     return _finish(report, [c_lower, c_iff], started)
 
 
@@ -241,8 +247,8 @@ def _suite_block_graphs(
     c_nm = Check("blockwise-nonmodular-count-equals-triple-scan")
     c_half = Check("nonmodular-triples-exceed-half-perimeter-by-half")
     c_pm = Check("pseudo-median-triples")
-    graphs = [random_block_graph(rng, max_n) for _ in range(count)]
-    for G, s3, cls in zip(graphs, _by_order(_sw3, graphs), _by_order(_classify, graphs)):
+    draws = (random_block_graph(rng, max_n) for _ in range(count))
+    for G, s3, cls in _scan(draws, _sw3, _classify):
         decomp = block_decomposition(G)
         c_formula.record(sw3_block_formula(G, decomp) == 2 * s3, G)
         c_nm.record(nm_block_graph(G, decomp) == cls.nonmodular, G)

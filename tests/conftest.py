@@ -19,6 +19,7 @@ import pytest
 from hypothesis import strategies as st
 
 import swk
+from swk.bitset import bit_list
 from swk.generators import (
     curated_modular,
     curated_nonmodular,
@@ -181,6 +182,27 @@ def tree_steiner_distance(T: Graph, terminals) -> int:
     for v in reversed(order[1:]):
         below[parent[v]] += below[v]
     return sum(1 for v in order[1:] if 0 < below[v] < len(wanted))
+
+
+def sizes_without_block(G: Graph, block: int) -> tuple[int, ...]:
+    """Reference for ``BlockDecomposition.sizes``: for each vertex of the
+    block (a bitmask) in increasing order, the size of its component once
+    the block's edges are deleted.  A BFS that refuses to cross an edge
+    with both ends in the block, as two blocks share at most one vertex."""
+    adjacency = G.adjacency
+    sizes = []
+    for s0 in bit_list(block):
+        seen = {s0}
+        stack = [s0]
+        while stack:
+            v = stack.pop()
+            for w in adjacency[v]:
+                if w in seen or (block >> v) & (block >> w) & 1:
+                    continue
+                seen.add(w)
+                stack.append(w)
+        sizes.append(len(seen))
+    return tuple(sizes)
 
 
 def bfs_connected(n: int, pairs) -> bool:

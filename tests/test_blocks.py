@@ -26,10 +26,10 @@ from swk import (
 )
 from swk.bitset import bit_list, mask_of
 from swk.blocks import BlockDecomposition
-from swk.generators import paw_graph, random_block_graph, random_tree
+from swk.generators import paw_graph, random_block_graph, random_connected, random_tree
 from swk.graphs import Graph
 
-from conftest import degree, enumerate_connected_graphs
+from conftest import degree, enumerate_connected_graphs, sizes_without_block
 
 
 def test_tree_blocks_are_edges():
@@ -52,8 +52,8 @@ def test_paw_decomposition():
     decomp = block_decomposition(paw_graph())
     assert decomp.blocks == (mask_of([0, 1, 2]), mask_of([0, 3]))
     assert bit_list(decomp.cut_vertices) == [0]
-    assert decomp.block_of_edge[(0, 3)] == 1
-    assert decomp.block_of_edge[(0, 1)] == 0
+    # without the triangle's edges: {0, 3}, {1}, {2}; without 03: {0, 1, 2}, {3}
+    assert decomp.sizes == ((2, 1, 1), (3, 1))
 
 
 def test_single_edge_graph():
@@ -73,7 +73,7 @@ def test_decomposition_requires_connected():
         with pytest.raises(PreconditionError, match="connected"):
             block_decomposition(G)
     for G in (Graph(1, []), Graph(0, [])):
-        assert block_decomposition(G) == BlockDecomposition((), 0, {})
+        assert block_decomposition(G) == BlockDecomposition((), 0, ())
 
 
 def test_decomposition_invariants_random():
@@ -81,11 +81,14 @@ def test_decomposition_invariants_random():
     for _ in range(50):
         g = _random_messy_graph(rng)
         decomp = block_decomposition(g)
-        # every edge in exactly one block, and endpoints inside that block
-        assert len(decomp.block_of_edge) == g.m
-        assert set(decomp.block_of_edge) == set(g.edges())
-        for (u, v), idx in decomp.block_of_edge.items():
-            assert (decomp.blocks[idx] >> u) & 1 and (decomp.blocks[idx] >> v) & 1
+        # every edge has both endpoints in exactly one block
+        for u, v in g.edges():
+            assert sum((b >> u) & (b >> v) & 1 for b in decomp.blocks) == 1
+        # one component size per member, and the components cover the graph
+        assert len(decomp.sizes) == len(decomp.blocks)
+        for b, sizes in zip(decomp.blocks, decomp.sizes):
+            assert len(sizes) == b.bit_count() >= 2
+            assert min(sizes) >= 1 and sum(sizes) == g.n
         # two blocks share at most one vertex, and that vertex is a cut vertex
         for i, a in enumerate(decomp.blocks):
             for b in decomp.blocks[i + 1:]:
@@ -121,6 +124,45 @@ def test_is_block_graph_cases():
     assert not is_block_graph(cycle_graph(4))
     assert is_block_graph(paw_graph())
     assert is_block_graph(complete_graph(5))
+    # C4 with a pendant triangle: the triangle is a clique, the C4 block is not
+    c4_triangle = Graph(6, [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4), (3, 5), (4, 5)])
+    assert len(block_decomposition(c4_triangle).blocks) == 2
+    assert not is_block_graph(c4_triangle)
+
+
+def test_sizes_match_bfs_reference():
+    # the DFS's hang sizes against one BFS per block member with the
+    # block's edges deleted, on block graphs and graphs that are not
+    rng = random.Random(77)
+    graphs = [random_block_graph(rng, 14) for _ in range(150)]
+    graphs += [random_tree(rng.randint(2, 14), rng) for _ in range(100)]
+    graphs += [random_connected(rng, 12) for _ in range(100)]
+    graphs += [_random_messy_graph(rng) for _ in range(200)]
+    graphs += [star_graph(5), paw_graph(), Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])]
+    root_cuts = non_block = 0
+    for g in graphs:
+        decomp = block_decomposition(g)
+        assert decomp.sizes == tuple(sizes_without_block(g, b) for b in decomp.blocks)
+        root_cuts += decomp.cut_vertices & 1
+        non_block += not is_block_graph(g, decomp)
+    # vertex 0, where the DFS starts, often has several DFS children
+    assert root_cuts >= 50 and non_block >= 50
+
+
+def test_block_formulas_on_large_block_graphs():
+    # 150 vertices: a deep DFS and blocks that pop long runs of the stack
+    rng = random.Random(150)
+    graphs = [random_block_graph(rng, 150) for _ in range(6)]
+    assert max(g.n for g in graphs) >= 120
+    for g in graphs:
+        decomp = block_decomposition(g)
+        assert is_block_graph(g, decomp)
+        assert nm_block_graph(g, decomp) == classify_triples(g).nonmodular
+        assert sw3_block_formula(g, decomp) == 2 * steiner_wiener(g, 3)
+    # a 300-vertex path: a DFS 300 deep, each edge a block splitting i + 1 | n - i - 1
+    decomp = block_decomposition(path_graph(300))
+    assert decomp.sizes == tuple((i + 1, 299 - i) for i in range(299))
+    assert nm_block_graph(path_graph(300), decomp) == 0
 
 
 def test_n3_of_components():

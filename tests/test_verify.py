@@ -151,3 +151,47 @@ def test_products_suite_runs_one_bfs_per_graph(apsp_calls):
     assert len(graphs) == 16 + 45  # the factors and the products
     assert len(bfs_runs(apsp_calls)) == len(graphs)
     assert len({(id(G), id(D)) for G, D in apsp_calls}) == len(graphs)
+
+
+# graph6 lines: a disconnected graph and a 2-vertex graph, which the
+# modular-bound suite skips, among graphs it checks
+_MIXED_CORPUS = [
+    write_graph6(G).decode("ascii")
+    for G in (cycle_graph(5), Graph(4, [(0, 1), (2, 3)]), hypercube(3), cycle_graph(4),
+              Graph(2, [(0, 1)]), cycle_graph(6), paw_graph(), complete_bipartite_graph(2, 3))
+]
+
+
+@pytest.mark.parametrize(
+    "suite,params,per_draw",
+    [
+        ("trees", {"count": 10}, "wiener_index"),
+        ("modular-bound", {"count": 10}, "wiener_index"),
+        ("modular-bound", {"corpus": "\n".join(_MIXED_CORPUS)}, "wiener_index"),
+        ("block-graphs", {"count": 10}, "sw3_block_formula"),
+    ],
+)
+def test_chunked_draws_give_the_same_report(monkeypatch, suite, params, per_draw):
+    # the fifth instance fails; with 3-draw chunks it lies in the second chunk
+    import swk.verify
+
+    exact = getattr(swk.verify, per_draw)
+
+    def report_with_chunk(chunk):
+        calls = []
+
+        def fifth_off(*args):
+            calls.append(None)
+            return exact(*args) + (len(calls) == 5)
+
+        monkeypatch.setattr(swk.verify, per_draw, fifth_off)
+        monkeypatch.setattr(swk.verify, "_CHUNK", chunk)
+        report = run_suite(suite, **params)
+        return report.checks, report.results
+
+    whole = report_with_chunk(swk.verify._CHUNK)
+    assert whole == report_with_chunk(3)
+    failing = [c for c in whole[0] if c["failures"]]
+    assert failing and all(c["failures"] == 1 and "first_failure" in c for c in failing)
+    if "corpus" in params:
+        assert {"name": "skipped-instances", "exact": 2, "decimal": "2"} in whole[1]
