@@ -338,6 +338,11 @@ def sw3_product_modular(G: Graph, H: Graph) -> int:
     for name, factor in (("first", G), ("second", H)):
         if factor.n <= _PRODUCT_CHECK_N and not is_modular(factor):
             raise PreconditionError(f"{name} factor is not modular")
+    return _sw3_product(G, H)
+
+
+def _sw3_product(G: Graph, H: Graph) -> int:
+    """sw3_product_modular's formula, for factors already known to be modular."""
     w_g, w_h = wiener_index(G), wiener_index(H)
     num = (G.n * H.n - 2) * (G.n * G.n * w_h + H.n * H.n * w_g)
     if num % 2:

@@ -3,12 +3,12 @@ brute-force recomputation on seeded corpora.
 
 Each suite aggregates named properties over many instances; the first
 failing instance (if any) is serialized as graph6 so it can be replayed.
-The small-graph suites draw ``_CHUNK`` instances at a time (bounded memory),
-scan each order's graphs in a chunk as one stack and check in draw order.
-The block-graphs suite's half-perimeter and pseudo-median checks are numpy
-scans over the distance matrix alone: the same suite tests the triple
-kernels of ``structure`` and ``steiner``, so its own checks share no code
-with them.
+The small-graph suites draw chunks that end at ``_CHUNK`` instances or once
+they hold ``_CHUNK_ENTRIES`` distance entries, scan each order's graphs in a
+chunk as one stack and check in draw order.  The block-graphs suite's
+half-perimeter and pseudo-median checks scan the distance matrix alone, in
+runs of triples of bounded size: the same suite tests the triple kernels of
+``structure`` and ``steiner``, so its own checks share no code with them.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
-from itertools import chain, combinations, islice, permutations
+from itertools import chain, combinations, permutations
 
 import numpy as np
 
@@ -57,27 +57,17 @@ from .report import Report
 from .steiner import (
     K_MAX,
     _sw3,
+    _sw3_product,
     check_bounds,
     steiner_distance_3,
     steiner_distance_dw,
     steiner_distance_oracle,
     steiner_wiener,
-    sw3_product_modular,
 )
 from .structure import _by_order, _classify, _every_triple
 
 _CHUNK = 1024  # draws held at once by the trees, modular-bound and block-graphs suites
-
-SUITE_NAMES = (
-    "trees",
-    "modular-bound",
-    "block-graphs",
-    "products",
-    "fibonacci",
-    "lucas",
-    "bounds",
-    "steiner-oracle",
-)
+_CHUNK_ENTRIES = 1 << 17  # or their n^2 sum: 13 graphs of 100 vertices, 1024 of 11
 
 # Reference value tables for the cube families (order 0..10).
 FIBONACCI_SW3_SEQUENCE = (
@@ -130,8 +120,17 @@ def _require_max_n(max_n: int, least: int) -> None:
 
 def _scan(draws, *kernels):
     """(graph, its result of each kernel) in draw order, for an iterator of
-    graphs; each kernel runs once per order over _CHUNK draws at a time."""
-    while graphs := list(islice(draws, _CHUNK)):
+    graphs; each kernel runs once per order over a chunk of draws, which ends
+    at _CHUNK draws or once their n^2 sum reaches _CHUNK_ENTRIES."""
+    while True:
+        graphs, entries = [], 0
+        for G in draws:
+            graphs.append(G)
+            entries += G.n * G.n
+            if len(graphs) == _CHUNK or entries >= _CHUNK_ENTRIES:
+                break
+        if not graphs:
+            return
         yield from zip(graphs, *(_by_order(kernel, graphs) for kernel in kernels))
 
 
@@ -161,8 +160,8 @@ def _modular_bound_corpus(count, max_n, seed, corpus):
     """(iterator of graphs, how many): the corpus file's graphs, or the
     curated graphs followed by count seeded draws."""
     if corpus is not None:
-        graphs = read_graph6_file(corpus)
-        return iter(graphs), len(graphs)
+        graphs = read_graph6_file(corpus)[::-1]  # popped in file order, freed once checked
+        return (graphs.pop() for _ in range(len(graphs))), len(graphs)
     curated = curated_modular() + curated_nonmodular()
     rng = random.Random(seed)
     # trees guarantee the equality direction shows up in the sample
@@ -197,6 +196,7 @@ def _suite_modular_bound(
 
 # The six orders (p, q, r) of a triangle's vertices.
 _ORDERS = np.array(list(permutations(range(3))))
+_RUN = 1 << 17  # elements of the largest temporaries per run of triples below
 
 
 def _median_free_checks(D: np.ndarray) -> tuple[bool, bool]:
@@ -207,30 +207,31 @@ def _median_free_checks(D: np.ndarray) -> tuple[bool, bool]:
     median-free one has exactly one triangle with some order (p, q, r) on
     shortest a-b, b-c and a-c paths through pq, qr and pr.  Both read only
     D, so they share no code with the structure and SW_3 kernels that the
-    suite tests.  The largest temporaries hold n^3 elements and, for one
-    first vertex, 6 T elements per median-free triple (T triangles).
+    suite tests.  Besides n^3 booleans and C(n,3) triple ids, temporaries hold
+    about _RUN elements per run of triples: by n, or by 6 T (T triangles).
     """
     n = D.shape[0]
     on = D[:, None, :] + D[None, :, :] == D[:, :, None]  # on[x, y, v]: v on an x-y geodesic
-    up = np.triu(D == 1)
-    triangles = np.argwhere(up[:, :, None] & up[:, None, :] & up[None, :, :])
+    I = np.arange(n)
+    lt = (I[:, None, None] < I[:, None]) & (I[:, None] < I)  # lt[a, b, c]: a < b < c
+    adj = D == 1
+    triangles = np.argwhere(lt & adj[:, :, None] & adj[:, None, :] & adj[None, :, :])
     p, q, r = triangles[:, _ORDERS].reshape(-1, 3).T
-    B, C = np.triu_indices(n, 1)  # pairs b < c, sorted by b
+    triples = np.flatnonzero(lt)
+    step = max(1, _RUN // max(1, n, len(p)))
     half_ok = pm_ok = True
-    for a in range(n - 2):
-        later = B > a
-        b, c = B[later], C[later]
+    for lo in range(0, triples.size, step):
+        a, b, c = np.unravel_index(triples[lo:lo + step], (n, n, n))
         medians = (on[a, b] & on[a, c] & on[b, c]).sum(axis=1)
         pm_ok &= not (medians > 1).any()
         free = medians == 0
-        if not free.any():
-            continue
-        b, c = b[free], c[free]
-        ab, ac, bc = D[a, b], D[a, c], D[b, c]
-        half_ok &= bool((2 * (D[a] + D[b] + D[c]).min(axis=1) == ab + ac + bc + 1).all())
-        near, qb, rc = D[a, p][:, None] + 1, D[q][:, b], D[r][:, c]
+        a, b, c = a[free], b[free], c[free]
+        ab, ac, bc = D[a, b][:, None], D[a, c][:, None], D[b, c][:, None]
+        Da, Db, Dc = D[a], D[b], D[c]
+        half_ok &= bool((2 * (Da + Db + Dc).min(axis=1, keepdims=True) == ab + ac + bc + 1).all())
+        near, qb, rc = Da[:, p] + 1, Db[:, q], Dc[:, r]  # (median-free triples, 6 T)
         gate = (near + qb == ab) & (qb + 1 + rc == bc) & (near + rc == ac)
-        gating = gate.reshape(-1, len(_ORDERS), b.size).any(axis=1).sum(axis=0)
+        gating = gate.reshape(a.size, len(triangles), len(_ORDERS)).any(axis=2).sum(axis=1)
         pm_ok &= bool((gating == 1).all())
         if not (half_ok or pm_ok):
             break
@@ -278,15 +279,18 @@ def _suite_products(*, max_size: int = 200, **_) -> Report:
     c_frac = Check("product-fractional-form-identity")
     c_mod = Check("product-of-modular-is-modular")
     names, graphs = zip(*_product_factors())
-    # W and SW_3 of each factor, computed once
+    # W, SW_3 and modularity of each factor, computed once
     w, s3 = [wiener_index(F) for F in graphs], _by_order(_sw3, graphs)
+    mod = _by_order(_every_triple, graphs)
     pairs = [(i, j) for i, A in enumerate(graphs) for j in range(i, len(graphs))
              if A.n * graphs[j].n <= max_size]
     products = [cartesian_product(graphs[i], graphs[j]) for i, j in pairs]
     modular = iter(_by_order(_every_triple, [P for P in products if P.n <= 100]))
     for (i, j), P, brute in zip(pairs, products, _by_order(_sw3, products)):
         A, B, detail = graphs[i], graphs[j], f"{names[i]} x {names[j]}"
-        formula = sw3_product_modular(A, B)
+        if not (mod[i] and mod[j]):  # as sw3_product_modular refuses
+            raise PreconditionError(f"{'second' if mod[i] else 'first'} factor is not modular")
+        formula = _sw3_product(A, B)
         c_sw3.record(formula == brute, P, detail)
         c_w.record(wiener_index(P) == A.n**2 * w[j] + B.n**2 * w[i], P, detail)
         if A.n > 2 and B.n > 2:
@@ -418,6 +422,7 @@ _SUITES = {
     "bounds": _suite_bounds,
     "steiner-oracle": _suite_steiner_oracle,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str, **params) -> Report:

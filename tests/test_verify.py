@@ -7,16 +7,24 @@ scans over D; ``conftest`` keeps the triple walks they replaced, built on
 
 from __future__ import annotations
 
+import json
 import random
 
+import numpy as np
 import pytest
 
 from swk import (
     all_pairs_distances,
+    classify_triples,
     complete_bipartite_graph,
     cycle_graph,
+    fibonacci_cube,
     hypercube,
+    path_graph,
+    sw3_product_modular,
 )
+from swk.cli import main
+from swk.errors import PreconditionError
 from swk.generators import paw_graph, random_block_graph, random_connected, random_tree
 from swk.graphs import Graph, write_graph6
 from swk.verify import _median_free_checks, run_suite
@@ -70,6 +78,63 @@ def test_median_free_checks_match_walks_on_random_graphs():
 def test_median_free_checks_hand_cases(G, expected):
     D = all_pairs_distances(G)
     assert _median_free_checks(D) == _reference(G, D) == expected
+
+
+@pytest.mark.parametrize("run", [1, 40])
+def test_median_free_checks_in_short_runs_match_walks(monkeypatch, run):
+    # runs of one to three triples: a graph takes many runs, and the runs
+    # of its modular triples hold no median-free triple
+    import swk.verify
+
+    monkeypatch.setattr(swk.verify, "_RUN", run)
+    rng = random.Random(77)
+    mixed = 0
+    for G in [random_block_graph(rng, 10) for _ in range(30)] + [
+        random_connected(rng, 9) for _ in range(40)
+    ]:
+        D = all_pairs_distances(G)
+        assert _median_free_checks(D) == _reference(G, D)
+        cls = classify_triples(G)
+        mixed += 0 < cls.nonmodular < cls.total
+    assert mixed > 20
+
+
+class _CountedReads(np.ndarray):
+    """A distance matrix (and everything computed from it) that counts its
+    reads through index arrays."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        keys = key if isinstance(key, tuple) else (key,)
+        if any(isinstance(k, np.ndarray) for k in keys):
+            _CountedReads.reads += 1
+        return super().__getitem__(key)
+
+
+def _reads(G: Graph) -> tuple[tuple[bool, bool], int]:
+    _CountedReads.reads = 0
+    result = _median_free_checks(all_pairs_distances(G).view(_CountedReads))
+    return result, _CountedReads.reads
+
+
+def test_median_free_checks_stop_after_a_run_that_fails_both(monkeypatch):
+    import swk.verify
+
+    # C_6 labelled so that its first triple {0, 1, 2} has no median, no
+    # triangle and d = 4 > (6 + 1) / 2; in plain C_6 the first such
+    # triple, {0, 2, 4}, is the sixth
+    first = Graph(6, [(0, 3), (3, 1), (1, 4), (4, 2), (2, 5), (5, 0)])
+    late = cycle_graph(6)
+    for G in (first, late):
+        D = all_pairs_distances(G)
+        assert _median_free_checks(D) == _reference(G, D) == (False, False)
+    one_run = {G: _reads(G) for G in (first, late)}
+    monkeypatch.setattr(swk.verify, "_RUN", 1)  # one triple per run
+    # stopping after the first run reads what a single run of all triples reads
+    assert _reads(first) == one_run[first]
+    assert _reads(late)[0] == (False, False)
+    assert _reads(late)[1] > one_run[late][1]
 
 
 def test_median_free_checks_use_no_library_triple_kernel(monkeypatch):
@@ -151,6 +216,72 @@ def test_products_suite_runs_one_bfs_per_graph(apsp_calls):
     assert len(graphs) == 16 + 45  # the factors and the products
     assert len(bfs_runs(apsp_calls)) == len(graphs)
     assert len({(id(G), id(D)) for G, D in apsp_calls}) == len(graphs)
+
+
+def test_products_suite_checks_each_factor_once(monkeypatch):
+    import swk.steiner
+    import swk.verify
+
+    monkeypatch.setattr(swk.steiner, "is_modular", lambda G: pytest.fail("is_modular called"))
+    exact, scanned = swk.verify._every_triple, []
+
+    def counting(D, *args):
+        scanned.append(D.shape[0])
+        return exact(D, *args)
+
+    monkeypatch.setattr(swk.verify, "_every_triple", counting)
+    report = run_suite("products", max_size=10)
+    assert report.ok() and [c["instances"] for c in report.checks] == [45, 45, 6, 45]
+    assert sum(scanned) == 16 + 45  # each factor once, and each product
+
+
+@pytest.mark.parametrize("at,which", [(0, "first"), (None, "second")])
+def test_products_suite_refuses_a_nonmodular_factor(monkeypatch, capsys, at, which):
+    import swk.verify
+
+    factors = swk.verify._product_factors()
+    factors.insert(len(factors) if at is None else at, ("C5", cycle_graph(5)))
+    monkeypatch.setattr(swk.verify, "_product_factors", lambda: factors)
+    assert main(["verify", "products", "--max-size", "10"]) == 3
+    # the first pair with C5 is C5 x path2 (first) or path2 x C5 (second)
+    pair = (cycle_graph(5), path_graph(2)) if which == "first" else (path_graph(2), cycle_graph(5))
+    with pytest.raises(PreconditionError, match=f"{which} factor is not modular") as refused:
+        sw3_product_modular(*pair)
+    assert str(refused.value) in capsys.readouterr().err
+
+
+def _json_without_timings(report) -> dict:
+    doc = json.loads(report.to_json())
+    del doc["timing_ms"]
+    return doc
+
+
+def test_corpus_chunks_end_at_the_entry_budget(monkeypatch):
+    import swk.verify
+
+    rng = random.Random(8)
+    corpus = "\n".join(
+        write_graph6(random_connected(rng, 9, min_n=6)).decode("ascii") for _ in range(12)
+    )
+    whole = _json_without_timings(run_suite("modular-bound", corpus=corpus))
+    exact, chunks = swk.verify._by_order, []
+
+    def recording(kernel, graphs):
+        chunks.append(sum(G.n * G.n for G in graphs))
+        return exact(kernel, graphs)
+
+    monkeypatch.setattr(swk.verify, "_by_order", recording)
+    monkeypatch.setattr(swk.verify, "_CHUNK_ENTRIES", 100)  # two or three graphs a chunk
+    assert _json_without_timings(run_suite("modular-bound", corpus=corpus)) == whole
+    assert len(chunks) >= 2 * 4  # two kernels per chunk
+    assert all(entries < 100 + 81 for entries in chunks)
+    # a corpus of two graphs of up to 362 vertices is one chunk at the real budget
+    monkeypatch.undo()
+    monkeypatch.setattr(swk.verify, "_by_order", recording)
+    chunks.clear()
+    pair = "\n".join(write_graph6(G).decode("ascii") for G in (fibonacci_cube(9), hypercube(6)))
+    assert run_suite("modular-bound", corpus=pair).ok()
+    assert chunks == [89**2 + 64**2] * 2
 
 
 # graph6 lines: a disconnected graph and a 2-vertex graph, which the
