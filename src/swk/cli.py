@@ -34,7 +34,7 @@ from .graphs import (
 from .metric import MATRIX_LIMIT, all_pairs_distances, average_distance, wiener_index
 from .report import Report
 from .steiner import steiner_wiener
-from .structure import classify_triples
+from .structure import _scan_guard, classify_triples
 from .verify import SUITE_NAMES, run_suite
 
 _FAMILY_ALIASES = {"fibonacci": "fibonacci_cube", "lucas": "lucas_cube"}
@@ -139,6 +139,8 @@ def cmd_index(args) -> Report:
     G = _load_graph(args)
     report.timing_ms["build"] = (time.perf_counter() - t0) * 1000.0
     k = args.k
+    if k == 3:
+        _scan_guard(G.n)  # refused before the distance matrix is built
     t0 = time.perf_counter()
     all_pairs_distances(G)  # kept on G, so the stages below reuse it
     report.timing_ms["distances"] = (time.perf_counter() - t0) * 1000.0
@@ -160,6 +162,7 @@ def cmd_structure(args) -> Report:
     t0 = time.perf_counter()
     G = _load_graph(args)
     report.timing_ms["build"] = (time.perf_counter() - t0) * 1000.0
+    _scan_guard(G.n)  # the triple classification's limit, before the distance matrix
     t0 = time.perf_counter()
     all_pairs_distances(G)  # kept on G, so the stages below reuse it
     report.timing_ms["distances"] = (time.perf_counter() - t0) * 1000.0

@@ -1,18 +1,16 @@
 """Exact Steiner distances and Steiner k-Wiener indices.
 
 The Steiner distance d(S) of a terminal set S is the edge count of a
-minimum connected subgraph spanning S (always a tree).  Production routes:
-a median-candidate scan for |S| = 3 (a Steiner tree on three terminals has
-at most one branch vertex, so d(S) = min_v sum of distances to v), blocked
-over all triples of a stack of same-order graphs for SW_3, and one
-Dreyfus-Wagner program over (terminal subset, root) states for larger S,
-run once per k-subset for SW_k.  The superset-scan oracle and the
+minimum connected subgraph spanning S (always a tree).  For |S| = 3 it is
+min_v of the three distances to v (such a tree has at most one branch
+vertex): SW_3 reads these minima from float64 exponent sums, one matrix
+product per run of middle vertices over a stack of same-order graphs.
+Larger S run one Dreyfus-Wagner program over (terminal subset, root)
+states, once per k-subset for SW_k.  The superset-scan oracle and the
 all-subsets table are exponential references that share no code with
-them.  The mean-Steiner bounds, the SW_3 modular bound and the SW_3 product
-formula are built on these values.
-
-Terminal sets are accepted either as iterables of vertex ids or as int
-bitmasks; duplicates collapse.
+them.  The mean-Steiner bounds, the SW_3 modular bound and the SW_3
+product formula are built on these values.  Terminal sets are iterables
+of vertex ids or int bitmasks; duplicates collapse.
 """
 
 from __future__ import annotations
@@ -35,8 +33,8 @@ from .structure import _stack, is_modular
 K_MAX = 12
 _ORACLE_N_LIMIT = 20
 _INF = 1 << 40
-# Largest temporary of the SW_3 scan, in elements.
-_BLOCK = 1 << 17
+_BLOCK = 1 << 15  # largest g n^3 for which the SW_3 kernel takes one product
+_MAX_EXPONENT = 1023  # of a normal float64; bounds the SW_3 kernel's ball radius
 # sw3_product_modular re-checks the modularity of factors up to this size.
 _PRODUCT_CHECK_N = 200
 
@@ -161,33 +159,54 @@ def steiner_distance_dw(G: Graph, terminals: int | Iterable[int]) -> int:
 
 
 def _sw3(D: np.ndarray) -> list[int]:
-    """SW_3 of each graph in a stack D of g distance matrices of order n, by
-    the median-candidate scan d({a,b,c}) = min_v D[v,a]+D[v,b]+D[v,c].
+    """SW_3 of each graph in a stack D of g distance matrices of order n:
+    d({a,b,c}) = min_v f(v), f(v) = D[a,v] + D[b,v] + D[c,v], read from the
+    float64 exponent of a sum of powers of two (G. Yuval, 1976).
 
-    Per middle vertex b, one numpy step covers a run of a < b against every
-    c > b of every graph, about _BLOCK elements (at least one a), in int8 if
-    3 * max(D) <= 127, else int16.  Steps write their minima into a (g, about
-    _BLOCK / g) buffer, summed per graph in int64 only when full (few sums).
+    Balls of radius rho = (1023 - s) // (3 s), s = bitlength(n + 1), split
+    the vertices (first center: least eccentricity; next: most uncovered
+    vertices within rho).  For center z, P[x,v] = 2^(-s (D[x,v] - D[x,z]))
+    and m = min over the ball of f(v) - f(z), S = sum over the ball of
+    P[a,v] P[b,v] P[c,v] lies in [2^(-s m), 2^(s - s m)) as 2^s exceeds the
+    term count, so m = (s - e) // s for frexp's exponent e of S.  Computed,
+    S lies there too: each term is an exact normal power of two (exponent
+    within +-3 s rho <= 1023 - s by the triangle inequality), and a sum of
+    nonnegative terms rounds to at least its largest term and within
+    (1 + n eps) of the true sum.  d is the least f(z) + m over the balls; a
+    stack with a graph of several balls runs one graph at a time.  Products
+    take P[a] P[b] against P[c] over every ordered triple while g n^3 <=
+    _BLOCK (summing to 6 SW_3 + 3 sum D), else per middle vertex b, a < b < c.
     """
     g, n = D.shape[:2]
-    E = D.astype(np.int8 if 3 * int(D.max(initial=0)) <= 127 else np.int16)
-    buffer, totals, used = np.empty((g, max(n, _BLOCK // g)), E.dtype), np.zeros(g, np.int64), 0
-    for b in range(1, n - 1):
-        C = E[:, :, b + 1:]
-        step = max(1, _BLOCK // (g * n * C.shape[2]))
-        for lo in range(0, b, step):
-            S = E[:, :, lo:min(b, lo + step)] + E[:, :, b:b + 1]
-            # the longer of the two runs goes innermost, where numpy vectorises
-            X, Y = (C, S) if S.shape[2] > C.shape[2] else (S, C)
-            size = X.shape[2] * Y.shape[2]
-            if used + size > buffer.shape[1]:
-                totals += buffer[:, :used].sum(axis=1, dtype=np.int64)
-                used = 0
-            out = buffer[:, used:used + size].reshape(g, X.shape[2], Y.shape[2])
-            np.minimum.reduce(X[:, :, :, None] + Y[:, :, None, :], axis=1, out=out)
-            used += size
-    totals += buffer[:, :used].sum(axis=1, dtype=np.int64)
-    return totals.tolist()
+    if n < 3:
+        return [0] * g
+    s = (n + 1).bit_length()
+    rho = (_MAX_EXPONENT - s) // (3 * s)
+    ecc = D.max(axis=2)
+    balls = [(D[np.arange(g), ecc.argmin(axis=1)], slice(None))]  # (D[i, z_i], members)
+    if n - 1 > rho and ecc.min(axis=1).max() > rho:
+        if g > 1:
+            return [_sw3(D[i:i + 1])[0] for i in range(g)]
+        near, left, balls, z = D[0] <= rho, np.ones(n, dtype=bool), [], ecc.argmin()
+        while left.any():
+            balls.append((D[:, z], np.flatnonzero(near[z] & left)))
+            left[balls[-1][1]] = False
+            z = ((near & left).sum(axis=1) - n * ~left).argmax()
+    terms = [(np.ldexp(1.0, s * (Dz[:, :, None] - D[:, :, V])), Dz) for Dz, V in balls]
+    every = g * n ** 3 <= _BLOCK
+    runs = [(slice(0, b), slice(b, b + 1), slice(b + 1, n)) for b in range(1, n - 1)]
+    runs, weight = ([(slice(None),) * 3], 3 * n * n) if every else (runs, comb(n - 1, 2))
+    totals = weight * balls[0][0].sum(axis=1) if len(terms) == 1 else 0
+    for a, b, c in runs:
+        best = None  # max over balls of e - s f(z), so that min f = (s - best) // s
+        for P, Dz in terms:
+            X = (P[:, a, None] * P[:, None, b]).reshape(g, -1, P.shape[2])
+            e = np.frexp(X @ P[:, c].transpose(0, 2, 1))[1]
+            if len(terms) > 1:
+                e -= s * ((Dz[:, a, None] + Dz[:, None, b]).reshape(g, -1, 1) + Dz[:, None, c])
+            best = e if best is None else np.maximum(best, e, out=best)
+        totals = totals + ((s - best) // s).sum(axis=(1, 2))
+    return ((totals - 3 * D.sum(axis=(1, 2))) // 6 if every else totals).tolist()
 
 
 def steiner_wiener(G: Graph, k: int) -> int:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections.abc import Iterator
 from fractions import Fraction
 from itertools import chain, combinations, permutations
 
@@ -199,43 +200,46 @@ _ORDERS = np.array(list(permutations(range(3))))
 _RUN = 1 << 17  # elements of the largest temporaries per run of triples below
 
 
-def _median_free_checks(D: np.ndarray) -> tuple[bool, bool]:
-    """(half-perimeter holds, pseudo-median holds) over triples a < b < c.
+def _median_free_checks(stack: np.ndarray) -> Iterator[tuple[bool, bool]]:
+    """(half-perimeter holds, pseudo-median holds) over triples a < b < c, for
+    each graph D of a stack of same-order distance matrices.
 
     Half-perimeter: 2 d({a,b,c}) = D[a,b] + D[b,c] + D[a,c] + 1 on every
     median-free triple.  Pseudo-median: no triple has two medians, and each
     median-free one has exactly one triangle with some order (p, q, r) on
     shortest a-b, b-c and a-c paths through pq, qr and pr.  Both read only
     D, so they share no code with the structure and SW_3 kernels that the
-    suite tests.  Besides n^3 booleans and C(n,3) triple ids, temporaries hold
-    about _RUN elements per run of triples: by n, or by 6 T (T triangles).
+    suite tests.  The a < b < c mask and triple ids are built once a stack;
+    besides them and n^3 booleans, temporaries hold about _RUN elements per
+    run of triples: by n, or by 6 T (T triangles).
     """
-    n = D.shape[0]
-    on = D[:, None, :] + D[None, :, :] == D[:, :, None]  # on[x, y, v]: v on an x-y geodesic
+    n = stack.shape[1]
     I = np.arange(n)
     lt = (I[:, None, None] < I[:, None]) & (I[:, None] < I)  # lt[a, b, c]: a < b < c
-    adj = D == 1
-    triangles = np.argwhere(lt & adj[:, :, None] & adj[:, None, :] & adj[None, :, :])
-    p, q, r = triangles[:, _ORDERS].reshape(-1, 3).T
-    triples = np.flatnonzero(lt)
-    step = max(1, _RUN // max(1, n, len(p)))
-    half_ok = pm_ok = True
-    for lo in range(0, triples.size, step):
-        a, b, c = np.unravel_index(triples[lo:lo + step], (n, n, n))
-        medians = (on[a, b] & on[a, c] & on[b, c]).sum(axis=1)
-        pm_ok &= not (medians > 1).any()
-        free = medians == 0
-        a, b, c = a[free], b[free], c[free]
-        ab, ac, bc = D[a, b][:, None], D[a, c][:, None], D[b, c][:, None]
-        Da, Db, Dc = D[a], D[b], D[c]
-        half_ok &= bool((2 * (Da + Db + Dc).min(axis=1, keepdims=True) == ab + ac + bc + 1).all())
-        near, qb, rc = Da[:, p] + 1, Db[:, q], Dc[:, r]  # (median-free triples, 6 T)
-        gate = (near + qb == ab) & (qb + 1 + rc == bc) & (near + rc == ac)
-        gating = gate.reshape(a.size, len(triangles), len(_ORDERS)).any(axis=2).sum(axis=1)
-        pm_ok &= bool((gating == 1).all())
-        if not (half_ok or pm_ok):
-            break
-    return half_ok, pm_ok
+    triples = np.unravel_index(np.flatnonzero(lt), (n, n, n))
+    for D in stack:
+        on = D[:, None, :] + D[None, :, :] == D[:, :, None]  # on[x, y, v]: v on an x-y geodesic
+        adj = D == 1
+        triangles = np.argwhere(lt & adj[:, :, None] & adj[:, None, :] & adj[None, :, :])
+        p, q, r = triangles[:, _ORDERS].reshape(-1, 3).T
+        step = max(1, _RUN // max(1, n, len(p)))
+        half_ok = pm_ok = True
+        for lo in range(0, triples[0].size, step):
+            a, b, c = (ids[lo:lo + step] for ids in triples)
+            medians = (on[a, b] & on[a, c] & on[b, c]).sum(axis=1)
+            pm_ok &= not (medians > 1).any()
+            free = medians == 0
+            a, b, c = a[free], b[free], c[free]
+            ab, ac, bc = D[a, b][:, None], D[a, c][:, None], D[b, c][:, None]
+            Da, Db, Dc = D[a], D[b], D[c]
+            half_ok &= bool((2 * (Da + Db + Dc).min(1, keepdims=True) == ab + ac + bc + 1).all())
+            near, qb, rc = Da[:, p] + 1, Db[:, q], Dc[:, r]  # (median-free triples, 6 T)
+            gate = (near + qb == ab) & (qb + 1 + rc == bc) & (near + rc == ac)
+            gating = gate.reshape(a.size, len(triangles), len(_ORDERS)).any(axis=2).sum(axis=1)
+            pm_ok &= bool((gating == 1).all())
+            if not (half_ok or pm_ok):
+                break
+        yield half_ok, pm_ok
 
 
 def _suite_block_graphs(
@@ -249,11 +253,10 @@ def _suite_block_graphs(
     c_half = Check("nonmodular-triples-exceed-half-perimeter-by-half")
     c_pm = Check("pseudo-median-triples")
     draws = (random_block_graph(rng, max_n) for _ in range(count))
-    for G, s3, cls in _scan(draws, _sw3, _classify):
+    for G, s3, cls, (ok_half, ok_pm) in _scan(draws, _sw3, _classify, _median_free_checks):
         decomp = block_decomposition(G)
         c_formula.record(sw3_block_formula(G, decomp) == 2 * s3, G)
         c_nm.record(nm_block_graph(G, decomp) == cls.nonmodular, G)
-        ok_half, ok_pm = _median_free_checks(all_pairs_distances(G))
         c_half.record(ok_half, G)
         c_pm.record(ok_pm, G)
     return _finish(Report(), [c_formula, c_nm, c_half, c_pm], started)

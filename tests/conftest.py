@@ -109,6 +109,13 @@ def proved_hold(report) -> bool:
     return all(c.holds for c in report.checks if c.status == "proved")
 
 
+def relabelled(G: Graph, seed: int) -> Graph:
+    """G under a seeded random permutation of its vertex ids."""
+    perm = list(range(G.n))
+    random.Random(seed).shuffle(perm)
+    return Graph(G.n, [(perm[u], perm[v]) for u in range(G.n) for v in G.adjacency[u] if u < v])
+
+
 def sw3_by_triples(g) -> int:
     """SW_3 as the sum of steiner_distance_3 over every triple."""
     D = all_pairs_distances(g)

@@ -176,14 +176,21 @@ def test_k_above_the_terminal_cap_exit_code(capsys):
     assert out == ""
 
 
-def test_sw3_above_the_triple_scan_limit_exit_code(capsys, monkeypatch):
+def test_sw3_above_the_triple_scan_limit_exit_code(capsys, monkeypatch, apsp_calls):
+    # index -k 3 and structure refuse once the graph is built, before its
+    # distance matrix
     import swk.steiner as steiner_mod
+    import swk.structure as structure_mod
 
     monkeypatch.setattr(steiner_mod, "_sw3", lambda D: pytest.fail("SW_3 scan started"))
-    code, out, err = run_cli(capsys, "index", "--family", "hypercube", "-n", "10", "-k", "3")
-    assert code == 3
-    assert "limited to 512 vertices" in err
-    assert out == ""
+    monkeypatch.setattr(structure_mod, "_classify", lambda D: pytest.fail("triple scan started"))
+    for cmd, *extra in (("index", "-k", "3"), ("structure",)):
+        for n in ("10", "13"):
+            code, out, err = run_cli(capsys, cmd, "--family", "hypercube", "-n", n, *extra)
+            assert code == 3
+            assert "limited to 512 vertices" in err
+            assert out == ""
+    assert apsp_calls == []
 
 
 @pytest.mark.parametrize("k,kernel", [(3, "_sw3"), (4, "_dreyfus_wagner")])

@@ -27,14 +27,7 @@ from swk.graphs import (
 from swk.steiner import _sw3, steiner_wiener
 from swk.structure import _by_order, _classify, _every_triple, classify_triples, is_median, is_modular
 
-from conftest import classify_by_median_sets, sw3_by_triples
-
-
-def _broom(length: int) -> Graph:
-    """A path with three leaves on its last vertex (diameter = length)."""
-    edges = [(i, i + 1) for i in range(length - 1)]
-    edges += [(length - 1, length + j) for j in range(3)]
-    return Graph(length + 3, edges)
+from conftest import classify_by_median_sets, relabelled, sw3_by_triples
 
 
 def sw3_batch(graphs):
@@ -83,19 +76,29 @@ def test_mixed_orders_come_back_in_input_order():
     _assert_stack_matches(graphs)
 
 
-def test_stack_switches_to_int16_for_one_long_graph():
-    # 3 * diameter of broom(43) is 129, past int8; the small-diameter graphs
-    # of the same order are scanned in int16 with it, the 5-vertex ones not
+def test_stack_runs_a_graph_of_several_balls_alone(monkeypatch):
+    # a path on 100 vertices has radius 50, past the SW_3 kernel's ball
+    # radius 48 at that order, so its stack runs one graph at a time; the
+    # 5-vertex graphs are a stack of their own
     rng = random.Random(73)
-    same_order = [random_connected(rng, 46, min_n=46) for _ in range(3)] + [star_graph(46)]
+    long_graph = relabelled(path_graph(100), 73)
+    short = random_connected(rng, 100, min_n=100)
     small = [random_connected(rng, 5, min_n=5) for _ in range(4)]
-    graphs = small[:2] + [_broom(43)] + same_order + small[2:]
-    assert 3 * max(int(structure.all_pairs_distances(G).max()) for G in same_order) <= 127
-    _assert_stack_matches(graphs)
+    assert structure.all_pairs_distances(long_graph).max(axis=1).min() == 50
+    graphs = small[:2] + [short, long_graph, short] + small[2:]
+    stacks = []
+    inner = steiner._sw3
+    monkeypatch.setattr(steiner, "_sw3", lambda D: stacks.append(len(D)) or inner(D))
+    by_triples = {id(G): sw3_by_triples(G) for G in small + [short, long_graph]}
+    expected = [by_triples[id(G)] for G in graphs]
+    assert sw3_batch(graphs) == expected
+    assert stacks == [1, 1, 1]  # the order-100 stack, one graph at a time
+    assert [steiner_wiener(G, 3) for G in graphs] == expected
 
 
 def test_one_element_blocks_wrap_the_buffer(monkeypatch):
-    # every block is then one a, and the SW_3 buffer fills and is summed many times
+    # every interval block is then one a, and SW_3 takes one product per
+    # middle vertex, not one over every ordered triple
     monkeypatch.setattr(steiner, "_BLOCK", 1)
     monkeypatch.setattr(structure, "_BLOCK", 1)
     rng = random.Random(74)

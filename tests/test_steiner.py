@@ -16,6 +16,7 @@ from swk import (
     average_distance,
     check_bounds,
     check_sw3_modular_bound,
+    complete_bipartite_graph,
     complete_graph,
     cycle_graph,
     hypercube,
@@ -40,8 +41,15 @@ from swk.generators import (
     random_tree,
 )
 from swk.graphs import fibonacci_cube
+from swk.structure import _by_order
 
-from conftest import connected_graphs, proved_hold, sw3_by_triples, tree_steiner_distance
+from conftest import (
+    connected_graphs,
+    proved_hold,
+    relabelled,
+    sw3_by_triples,
+    tree_steiner_distance,
+)
 
 
 # -- steiner_distance_3 -------------------------------------------------------
@@ -221,27 +229,54 @@ def test_sw3_matches_per_triple_sum_on_corpora(small_corpus):
         assert steiner_wiener(g, 3) == sw3_by_triples(g)
 
 
-def test_sw3_int8_int16_switch():
-    # the scan narrows D to int8 while 3 * diameter <= 127; a broom (a path
-    # with three leaves on its last vertex) has three leaves whose distance
-    # sum from the first vertex is 3 * diameter, so int8 would wrap there
-    def broom(length):
-        edges = [(i, i + 1) for i in range(length - 1)]
-        edges += [(length - 1, length + j) for j in range(3)]
-        return Graph(length + 3, edges)
-
-    cases = [(path_graph(43), 42), (path_graph(44), 43), (broom(42), 42), (broom(43), 43)]
-    for g, diameter in cases:
-        assert all_pairs_distances(g).max() == diameter
+def test_sw3_at_the_exponent_base_boundaries():
+    # the base 2^s of the SW_3 kernel's exponent sums, s = bitlength(n + 1),
+    # steps up between each pair of orders below; in K_{3,n-3} the three
+    # vertices of the small side tie at all n - 3 of the other side
+    rng = random.Random(67)
+    for n in (14, 15, 30, 31, 62, 63):
+        graphs = [random_connected(rng, n, min_n=n), complete_bipartite_graph(3, n - 3),
+                  relabelled(path_graph(n), n), relabelled(cycle_graph(n), n)]
+        for g in graphs:
+            assert steiner_wiener(g, 3) == sw3_by_triples(g)
+    for n in (126, 127):
+        g = complete_bipartite_graph(3, n - 3)
         assert steiner_wiener(g, 3) == sw3_by_triples(g)
+
+
+def test_sw3_on_complete_bipartite_graphs_with_many_tied_medians():
+    # three vertices on one side of K_{k,k} have all k vertices of the other
+    # side as medians
+    graphs = [complete_bipartite_graph(k, k) for k in range(2, 17)]
+    graphs += [complete_bipartite_graph(k, 12 - k) for k in range(1, 7)]
+    assert [steiner_wiener(g, 3) for g in graphs] == [sw3_by_triples(g) for g in graphs]
+    assert _by_order(steiner._sw3, graphs) == [sw3_by_triples(g) for g in graphs]
+
+
+@pytest.mark.parametrize("exponent", [5, 20, 40])
+def test_sw3_with_small_balls(monkeypatch, exponent):
+    # the ball radius (exponent - s) // (3 s) is 0 (one ball per vertex), 1,
+    # or 2-3 on graphs of 10-25 vertices, alone and stacked, with one
+    # product over every ordered triple or one per middle vertex
+    monkeypatch.setattr(steiner, "_MAX_EXPONENT", exponent)
+    rng = random.Random(68)
+    graphs = [random_connected(rng, 12, min_n=10) for _ in range(8)]
+    graphs += [random_tree(rng.randint(10, 25), rng) for _ in range(4)]
+    graphs += [relabelled(path_graph(20), 1), relabelled(cycle_graph(21), 2),
+               complete_bipartite_graph(3, 9), path_graph(12)]
+    expected = [sw3_by_triples(g) for g in graphs]
+    for block in (steiner._BLOCK, 1):
+        monkeypatch.setattr(steiner, "_BLOCK", block)
+        assert [steiner_wiener(g, 3) for g in graphs] == expected
+        assert _by_order(steiner._sw3, graphs) == expected
 
 
 def test_sw3_matches_per_triple_sum_across_blocks(monkeypatch):
-    # both graphs split the a-range of most middle vertices into several runs
+    # both graphs take one product per middle vertex
     big = [fibonacci_cube(10), random_connected_graph(150, 3352, random.Random(150))]
     for g in big:
         assert steiner_wiener(g, 3) == sw3_by_triples(g)
-    # a tiny budget makes every run a single a
+    # a tiny budget sends small graphs that way too
     monkeypatch.setattr(steiner, "_BLOCK", 1)
     rng = random.Random(64)
     for g in [random_connected(rng, 12) for _ in range(10)] + [path_graph(44)]:

@@ -36,12 +36,17 @@ def _reference(G: Graph, D) -> tuple[bool, bool]:
     return walk_half_perimeter(D), walk_pseudo_median(G, D)
 
 
+def _checks(D) -> tuple[bool, bool]:
+    """``_median_free_checks`` on a stack of one."""
+    return next(_median_free_checks(D[None]))
+
+
 def test_median_free_checks_match_walks_on_block_graphs():
     rng = random.Random(2024)
     for _ in range(150):
         G = random_block_graph(rng, 12)
         D = all_pairs_distances(G)
-        assert _median_free_checks(D) == _reference(G, D) == (True, True)
+        assert _checks(D) == _reference(G, D) == (True, True)
 
 
 def test_median_free_checks_match_walks_on_random_graphs():
@@ -50,7 +55,7 @@ def test_median_free_checks_match_walks_on_random_graphs():
     for _ in range(200):
         G = random_connected(rng, 10)
         D = all_pairs_distances(G)
-        result = _median_free_checks(D)
+        result = _checks(D)
         assert result == _reference(G, D)
         seen.add(result)
     # the corpus fails the pseudo-median check alone, both checks, and
@@ -77,7 +82,7 @@ def test_median_free_checks_match_walks_on_random_graphs():
 )
 def test_median_free_checks_hand_cases(G, expected):
     D = all_pairs_distances(G)
-    assert _median_free_checks(D) == _reference(G, D) == expected
+    assert _checks(D) == _reference(G, D) == expected
 
 
 @pytest.mark.parametrize("run", [1, 40])
@@ -93,7 +98,7 @@ def test_median_free_checks_in_short_runs_match_walks(monkeypatch, run):
         random_connected(rng, 9) for _ in range(40)
     ]:
         D = all_pairs_distances(G)
-        assert _median_free_checks(D) == _reference(G, D)
+        assert _checks(D) == _reference(G, D)
         cls = classify_triples(G)
         mixed += 0 < cls.nonmodular < cls.total
     assert mixed > 20
@@ -114,7 +119,7 @@ class _CountedReads(np.ndarray):
 
 def _reads(G: Graph) -> tuple[tuple[bool, bool], int]:
     _CountedReads.reads = 0
-    result = _median_free_checks(all_pairs_distances(G).view(_CountedReads))
+    result = _checks(all_pairs_distances(G).view(_CountedReads))
     return result, _CountedReads.reads
 
 
@@ -128,7 +133,7 @@ def test_median_free_checks_stop_after_a_run_that_fails_both(monkeypatch):
     late = cycle_graph(6)
     for G in (first, late):
         D = all_pairs_distances(G)
-        assert _median_free_checks(D) == _reference(G, D) == (False, False)
+        assert _checks(D) == _reference(G, D) == (False, False)
     one_run = {G: _reads(G) for G in (first, late)}
     monkeypatch.setattr(swk.verify, "_RUN", 1)  # one triple per run
     # stopping after the first run reads what a single run of all triples reads
@@ -157,7 +162,7 @@ def test_median_free_checks_use_no_library_triple_kernel(monkeypatch):
     rng = random.Random(5)
     for _ in range(20):
         G = random_connected(rng, 9)
-        _median_free_checks(all_pairs_distances(G))
+        _checks(all_pairs_distances(G))
 
 
 def test_trees_suite_records_checks_in_draw_order(monkeypatch):
