@@ -209,23 +209,23 @@ def _median_free_checks(stack: np.ndarray) -> Iterator[tuple[bool, bool]]:
     median-free one has exactly one triangle with some order (p, q, r) on
     shortest a-b, b-c and a-c paths through pq, qr and pr.  Both read only
     D, so they share no code with the structure and SW_3 kernels that the
-    suite tests.  The a < b < c mask and triple ids are built once a stack;
-    besides them and n^3 booleans, temporaries hold about _RUN elements per
-    run of triples: by n, or by 6 T (T triangles).
+    suite tests.  The a < b < c mask and triple ids are built once a stack.
+    Per graph, on[x, y, v] (v on an x-y geodesic) takes n^3 int16 sums, and
+    a run of triples about _RUN elements: by n, or by 6 T (T triangles).
     """
     n = stack.shape[1]
     I = np.arange(n)
     lt = (I[:, None, None] < I[:, None]) & (I[:, None] < I)  # lt[a, b, c]: a < b < c
-    triples = np.unravel_index(np.flatnonzero(lt), (n, n, n))
+    triples = np.flatnonzero(lt)
     for D in stack:
-        on = D[:, None, :] + D[None, :, :] == D[:, :, None]  # on[x, y, v]: v on an x-y geodesic
+        on = np.add(D[:, None, :], D[None, :, :], dtype=np.int16) == D[:, :, None]
         adj = D == 1
         triangles = np.argwhere(lt & adj[:, :, None] & adj[:, None, :] & adj[None, :, :])
         p, q, r = triangles[:, _ORDERS].reshape(-1, 3).T
         step = max(1, _RUN // max(1, n, len(p)))
         half_ok = pm_ok = True
-        for lo in range(0, triples[0].size, step):
-            a, b, c = (ids[lo:lo + step] for ids in triples)
+        for lo in range(0, triples.size, step):
+            a, b, c = np.unravel_index(triples[lo:lo + step], (n, n, n))
             medians = (on[a, b] & on[a, c] & on[b, c]).sum(axis=1)
             pm_ok &= not (medians > 1).any()
             free = medians == 0

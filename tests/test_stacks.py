@@ -77,22 +77,22 @@ def test_mixed_orders_come_back_in_input_order():
 
 
 def test_stack_runs_a_graph_of_several_balls_alone(monkeypatch):
-    # a path on 100 vertices has radius 50, past the SW_3 kernel's ball
-    # radius 48 at that order, so its stack runs one graph at a time; the
-    # 5-vertex graphs are a stack of their own
+    # a path and a cycle on 100 vertices have radius 50, past the
+    # SW_3 kernel's ball radius 48 at that order, so their stack runs one
+    # graph at a time; the 5-vertex graphs are a stack of their own
     rng = random.Random(73)
-    long_graph = relabelled(path_graph(100), 73)
+    long_graphs = [relabelled(path_graph(100), 73), relabelled(cycle_graph(100), 74)]
     short = random_connected(rng, 100, min_n=100)
     small = [random_connected(rng, 5, min_n=5) for _ in range(4)]
-    assert structure.all_pairs_distances(long_graph).max(axis=1).min() == 50
-    graphs = small[:2] + [short, long_graph, short] + small[2:]
+    assert all(structure.all_pairs_distances(G).max(axis=1).min() == 50 for G in long_graphs)
+    graphs = small[:2] + [short, long_graphs[0], short, long_graphs[1]] + small[2:]
     stacks = []
     inner = steiner._sw3
     monkeypatch.setattr(steiner, "_sw3", lambda D: stacks.append(len(D)) or inner(D))
-    by_triples = {id(G): sw3_by_triples(G) for G in small + [short, long_graph]}
+    by_triples = {id(G): sw3_by_triples(G) for G in small + [short] + long_graphs}
     expected = [by_triples[id(G)] for G in graphs]
     assert sw3_batch(graphs) == expected
-    assert stacks == [1, 1, 1]  # the order-100 stack, one graph at a time
+    assert stacks == [1, 1, 1, 1]  # the order-100 stack, one graph at a time
     assert [steiner_wiener(G, 3) for G in graphs] == expected
 
 
