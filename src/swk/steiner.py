@@ -33,7 +33,7 @@ from .structure import _stack, is_modular
 K_MAX = 12
 _ORACLE_N_LIMIT = 20
 _INF = 1 << 40
-_BLOCK = 1 << 15  # largest g n^3 for which the SW_3 kernel takes one product
+_BLOCK = 1 << 14  # largest g n^3 for which the SW_3 kernel takes one product
 _MAX_EXPONENT = 1023  # of a normal float64; bounds the SW_3 kernel's ball radius
 # sw3_product_modular re-checks the modularity of factors up to this size.
 _PRODUCT_CHECK_N = 200
